@@ -46,6 +46,8 @@ constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
 constexpr std::uint16_t kPort = 11211;
 // Client lanes: memcached connections, or single-core client machines with a router each.
 constexpr std::size_t kLanes = 4;
+// Open-loop in-flight cap per lane in the fixed-rate phase.
+constexpr std::size_t kPipeline = 4;
 constexpr std::size_t kShards = 4;
 constexpr std::size_t kMultiGetKeys = 16;
 // An op unanswered this long after its due time has failed (200x the paper's 500 us p99
@@ -78,7 +80,6 @@ struct Workload {
   bool large_values;         // 4-16 KiB uniform; otherwise ETC (1 B - 1 KiB)
   double get_share;          // GET (or MultiGet) share of ops
   double fixed_rate;         // offered ops/s of the fixed-rate phase, all lanes together
-  std::size_t pipeline;      // open-loop in-flight cap per lane
   std::size_t sat_depth;     // closed-loop outstanding ops per lane in the saturation phase
   // Host-side cost of one measured op on the reference host (ns). Sizes the phases from
   // --seconds; the phases are then fixed op counts, so every run does the same work.
@@ -87,11 +88,11 @@ struct Workload {
 
 const Workload kWorkloads[] = {
     // One server core, ETC mix over a keyspace that fits in L2.
-    {"etc_1core", false, 1, 2000, false, 0.9, 60000, 4, 16, 9600},
+    {"etc_1core", false, 1, 2000, false, 0.9, 60000, 16, 9600},
     // Hosted frontend + 4 single-core shards, R=2, 16-key MultiGets, 10% Sets.
-    {"sharded_multiget", true, 1, 4096, false, 0.9, 16000, 4, 4, 100000},
+    {"sharded_multiget", true, 1, 4096, false, 0.9, 16000, 4, 100000},
     // Four server cores, 50/50 GET/SET of 4-16 KiB values over ~256 MiB of live data.
-    {"write_heavy_4core", false, 4, 26000, true, 0.5, 22000, 4, 4, 57000},
+    {"write_heavy_4core", false, 4, 26000, true, 0.5, 22000, 4, 57000},
 };
 
 const Workload* FindWorkload(const std::string& name) {
@@ -163,6 +164,8 @@ struct Inputs {
   std::vector<Op> saturation[kLanes];
   std::vector<std::uint32_t> multiget_keys[kLanes];
   std::uint64_t fixed_duration_ns = 0;
+  // Host seconds a single DriveUntil may take before the run fails; it only bounds a hang.
+  double host_limit_s = 0;
 };
 
 std::vector<Op> MakeMix(const Workload& w, std::mt19937_64& rng, std::size_t n,
@@ -196,6 +199,9 @@ Inputs MakeInputs(const Workload& w, std::uint64_t seed, double measured_seconds
   // Half the measured budget to each phase, sized by the reference host cost per op.
   double phase_ops = 0.5 * measured_seconds * 1e9 / w.host_ns_per_op;
   in.fixed_duration_ns = static_cast<std::uint64_t>(phase_ops / w.fixed_rate * 1e9);
+  // A phase takes about half the budget on the reference host; allow 16 times that, and
+  // never less than 170 s.
+  in.host_limit_s = std::max(170.0, 8.0 * measured_seconds);
   std::size_t sat_per_lane = static_cast<std::size_t>(phase_ops / kLanes);
   std::size_t warm_per_lane = std::max<std::size_t>(200, sat_per_lane / 20);
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
@@ -270,7 +276,7 @@ enum class PhaseKind { kClosed, kOpen };
 
 // One client lane: a memcached connection, or a client core issuing through its own
 // ShardRouter. The lane runs one phase at a time, either open loop (arrivals due on a
-// schedule, at most `pipeline` in flight, the rest waiting in the client queue) or closed
+// schedule, at most kPipeline in flight, the rest waiting in the client queue) or closed
 // loop (a fixed number outstanding, the next op issued when one completes).
 class Lane final : public TcpHandler {
  public:
@@ -741,7 +747,7 @@ std::vector<sim::TestbedNode> Bench::ServerNodes() const {
 
 bool Bench::DriveUntil(const std::function<bool()>& done, std::uint64_t deadline_ns,
                        bool track) {
-  double host_deadline = HostSeconds() + 170.0;
+  double host_deadline = HostSeconds() + in_.host_limit_s;
   while (!done()) {
     world().RunUntil(world().Now() + 1'000'000);
     if (track) {
@@ -1026,7 +1032,7 @@ bool Bench::RunMeasured() {
   std::uint64_t far = world().Now() + 600'000'000'000ull;
   at_fixed_start = Capture();
   fixed_start = world().Now() + 10'000;  // RunPhase's open-loop start
-  bool ok = RunPhase(PhaseKind::kOpen, in_.fixed, &in_.fixed_due, w_.pipeline, true,
+  bool ok = RunPhase(PhaseKind::kOpen, in_.fixed, &in_.fixed_due, kPipeline, true,
                      fixed_start + in_.fixed_duration_ns + kLatencyLimitNs);
   total.Merge(tally);
   for (auto& lane : lanes_) {
@@ -1535,12 +1541,15 @@ int Main(int argc, char** argv) {
   // Traced: the same inputs untraced, then traced; each gets half the measured budget.
   Inputs in = MakeInputs(*w, seed, seconds / 2);
   double untraced_host_ops = 0;
+  FailureTally both;
   {
     Bench plain(*w, in, /*traced=*/false);
     if (!plain.Setup() || !plain.RunMeasured()) {
       return 1;
     }
     untraced_host_ops = HostOpsPerSecond(plain);
+    PrintTally("untraced ops", plain.tally);
+    both = plain.tally;
   }
   Bench traced(*w, in, /*traced=*/true);
   if (!traced.Setup()) {
@@ -1551,9 +1560,10 @@ int Main(int argc, char** argv) {
   for (const Metric& m : metrics) {
     std::printf("# %-32s %14.4f %s\n", m.name.c_str(), m.value, m.unit.c_str());
   }
-  PrintTally("ops", traced.tally);
-  bool correct = ok && traced.tally.failed() == 0;
-  return PrintResult(correct, traced.tally, metrics) ? 0 : 1;
+  PrintTally("traced ops", traced.tally);
+  both.Merge(traced.tally);
+  bool correct = ok && both.failed() == 0;
+  return PrintResult(correct, both, metrics) ? 0 : 1;
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
 The first run configures and compiles perfbench/ (the library sources plus kvbench) into
-$CARGO_TARGET_DIR, or .bench_build at the checkout root when that is unset; later runs
-only check the build is current. Build output goes to stderr, so the last line of stdout
-is kvbench's JSON result. The exit code is kvbench's: nonzero when the build fails or any
-response fails verification.
+perfbench-<hash of this checkout's path> under $CARGO_TARGET_DIR, or under .bench_build at
+the checkout root when that is unset; later runs only check the build is current. Each
+checkout thus owns its build tree, even when several share one $CARGO_TARGET_DIR. Build
+output goes to stderr, so the last line of stdout is kvbench's JSON result. The exit code
+is kvbench's: nonzero when the build fails or any response fails verification.
 """
+import hashlib
 import os
 import shutil
 import subprocess
@@ -20,17 +22,19 @@ ROOT = os.path.dirname(HERE)
 
 def build_dir():
     target = os.environ.get("CARGO_TARGET_DIR") or ".bench_build"
-    return target if os.path.isabs(target) else os.path.join(ROOT, target)
+    if not os.path.isabs(target):
+        target = os.path.join(ROOT, target)
+    tag = hashlib.sha1(HERE.encode()).hexdigest()[:12]
+    return os.path.join(target, "perfbench-" + tag)
 
 
 def build(out):
-    """Configures (once) and builds kvbench; returns the binary's path or None."""
-    if not os.path.exists(os.path.join(out, "CMakeCache.txt")):
+    """Configures (until it succeeds once) and builds kvbench; returns its path or None."""
+    if not any(os.path.exists(os.path.join(out, f)) for f in ("build.ninja", "Makefile")):
         cmd = ["cmake", "-S", HERE, "-B", out, "-DCMAKE_BUILD_TYPE=Release"]
         if shutil.which("ninja"):
             cmd += ["-G", "Ninja"]
         if subprocess.call(cmd, stdout=sys.stderr) != 0:
-            shutil.rmtree(out, ignore_errors=True)
             return None
     jobs = str(min(4, os.cpu_count() or 1))
     if subprocess.call(["cmake", "--build", out, "-j", jobs, "--target", "kvbench"],

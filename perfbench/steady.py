@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """Steadiness tooling for the benchmark.
 
-Run each workload N times (seeds base..base+N-1) and print, per metric, the median, the
+Run each workload N times untraced (seeds 1..N) and print, per metric, the median, the
 quartiles and the spread (interquartile distance as a share of the median), checked
 against the metric's bound in BENCHMARK.json:
 
     python3 perfbench/steady.py run --runs 10 --out first.json [--workload etc_1core ...]
-        [--seconds S] [--seed-base B] [--trace 0|1]
+        [--seconds S]
 
 Compare two result sets: for every end-to-end metric and workload, how much worse the
 second median is than the first, as a share of the first, against the bound:
 
     python3 perfbench/steady.py compare first.json second.json
 
-Both commands exit 1 when a bound is exceeded (setup_s is exempt from the spread check).
+Both commands exit 1 when a bound is exceeded. setup_s is exempt from the spread check,
+as in the benchmark's acceptance rule: it is a host wall time of under two seconds,
+spread by host noise the run cannot average away. Its median is still held to its bound
+by compare, so work moved into set-up shows there.
 """
 import argparse
 import json
@@ -31,9 +34,9 @@ def load_spec():
         return json.load(f)
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -60,9 +63,8 @@ def cmd_run(args):
     ok = True
     for workload in workloads:
         runs = []
-        for i in range(args.runs):
-            seed = args.seed_base + i
-            runs.append(run_once(workload, seed, seconds, args.trace))
+        for seed in range(1, args.runs + 1):
+            runs.append(run_once(workload, seed, seconds))
             print(f"# {workload} seed {seed} done", file=sys.stderr)
         results[workload] = runs
         print(f"{workload}: {args.runs} runs")
@@ -110,8 +112,6 @@ def main():
     run.add_argument("--workload", action="append")
     run.add_argument("--runs", type=int, default=10)
     run.add_argument("--seconds", type=int, default=0)
-    run.add_argument("--seed-base", type=int, default=1)
-    run.add_argument("--trace", type=int, default=0)
     run.add_argument("--out")
     compare = sub.add_parser("compare")
     compare.add_argument("first")
