@@ -36,24 +36,48 @@ Timer::Timer(TimerRoot& root, std::size_t machine_core)
 
 std::uint64_t Timer::Start(std::uint64_t delay_ns, MoveFunction<void()> fn, bool periodic) {
   Kassert(CurrentContext().machine_core == machine_core_, "Timer::Start: wrong core");
-  std::uint64_t handle = next_handle_++;
-  std::uint64_t now = root_.executor().Now();
-  Entry entry;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+    free_slots_.reserve(slots_.size());  // so Reclaim never allocates
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Entry& entry = slots_[slot];
   entry.fn = std::move(fn);
   entry.period_ns = periodic ? delay_ns : 0;
+  entry.live = true;
   entry.cancelled = false;
-  entries_.emplace(handle, std::move(entry));
-  queue_.push({now + delay_ns, handle});
+  std::uint64_t handle = (static_cast<std::uint64_t>(entry.generation) << 32) | (slot + 1);
+  queue_.push({Now() + delay_ns, next_order_++, handle});
   // Tighten the loop's halt deadline in case no further dispatch pass polls before halting.
   root_.em_root().RepFor(machine_core_).SetTimerDeadline(queue_.top().deadline);
   return handle;
 }
 
+Timer::Entry* Timer::Find(std::uint64_t handle) {
+  std::uint32_t slot = SlotOf(handle);
+  if (slot >= slots_.size()) {
+    return nullptr;
+  }
+  Entry& entry = slots_[slot];
+  return entry.live && entry.generation == (handle >> 32) ? &entry : nullptr;
+}
+
+void Timer::Reclaim(std::uint64_t handle) {
+  Entry& entry = slots_[SlotOf(handle)];
+  entry.fn = nullptr;
+  entry.live = false;
+  ++entry.generation;
+  free_slots_.push_back(SlotOf(handle));
+}
+
 void Timer::Stop(std::uint64_t handle) {
-  auto it = entries_.find(handle);
-  if (it != entries_.end()) {
-    // Lazy cancellation: the queue entry dies when it pops.
-    it->second.cancelled = true;
+  if (Entry* entry = Find(handle)) {
+    // Lazy cancellation: the slot is reclaimed when its queue item pops.
+    entry->cancelled = true;
   }
 }
 
@@ -62,23 +86,23 @@ EventManager::TimerPollResult Timer::Poll(std::uint64_t now) {
   while (!queue_.empty() && queue_.top().deadline <= now) {
     QueueItem item = queue_.top();
     queue_.pop();
-    auto it = entries_.find(item.handle);
-    if (it == entries_.end() || it->second.cancelled) {
-      entries_.erase(item.handle);
+    Entry* entry = Find(item.handle);  // every queued handle is live: one item per entry
+    if (entry->cancelled) {
+      Reclaim(item.handle);
       continue;
     }
     ++result.dispatched;
     EventManager& em = root_.em_root().RepFor(machine_core_);
-    if (it->second.period_ns != 0) {
+    if (entry->period_ns != 0) {
       // Re-arm before running so the callback can Stop() its own handle. Periodic callbacks
       // are persistent: invoked in place, never moved out.
-      queue_.push({item.deadline + it->second.period_ns, item.handle});
-      em.RunTimerHandler(&it->second.fn, /*persistent=*/true);
+      queue_.push({item.deadline + entry->period_ns, item.order, item.handle});
+      em.RunTimerHandler(&entry->fn, /*persistent=*/true);
     } else {
-      // One-shot: move the callback out so the entry can be reclaimed even if the callback
-      // starts new timers (iterator invalidation). The event stack takes ownership.
-      MoveFunction<void()> fn = std::move(it->second.fn);
-      entries_.erase(it);
+      // One-shot: move the callback out and reclaim the slot first, so the callback may start
+      // new timers (including into this slot). The event stack takes ownership.
+      MoveFunction<void()> fn = std::move(entry->fn);
+      Reclaim(item.handle);
       em.RunTimerHandler(&fn, /*persistent=*/false);
     }
   }

@@ -10,6 +10,20 @@
 //     leaves the exception in the returned future, so only the *final* `Then` must handle
 //     errors, mirroring synchronous try/catch structure.
 //
+// A future is in one of three representations:
+//
+//   * inline ready — MakeReadyFuture / MakeFailedFuture store the value or exception_ptr in
+//     the Future object itself. No shared state exists.
+//   * shared — a Promise allocates the one SharedState its futures point at. Only a future
+//     that may be fulfilled later (by SetValue on another event or core) needs one.
+//   * invalid — default-constructed, moved-from, or consumed by Then.
+//
+// `Then` on a future that is already ready (inline, or shared and fulfilled) invokes f at
+// once and returns an inline result: f's value, f's returned future (flattening), or f's
+// exception. That path allocates nothing — no Promise, no continuation — so Figure 2's
+// cache-hit send costs no heap traffic. Only `Then` on a pending future installs a
+// continuation on the shared state and allocates the result's Promise.
+//
 // The state word + continuation install/fire handshake is the "sometimes subtle
 // synchronization code" the paper centralizes here: SetValue and Then may race from different
 // cores; a spinlock over tiny critical sections resolves it.
@@ -23,6 +37,7 @@
 #include <new>
 #include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "src/platform/debug.h"
@@ -35,6 +50,10 @@ template <typename T>
 class Future;
 template <typename T>
 class Promise;
+template <typename T, typename... Args>
+Future<T> MakeReadyFuture(Args&&... args);
+template <typename T>
+Future<T> MakeFailedFuture(std::exception_ptr eptr);
 
 namespace future_internal {
 
@@ -166,45 +185,61 @@ class SharedState {
   Continuation continuation_;
 };
 
+// Invokes f(args...) now and returns its (flattened) result as a future without a Promise:
+// a returned future passes through, a value or void becomes inline ready, and a throw
+// becomes inline failed.
+template <typename R, typename F, typename... Args>
+Future<flatten_t<R>> InvokeReady(F& f, Args&&... args) {
+  try {
+    if constexpr (IsFuture<R>::value) {
+      return f(std::forward<Args>(args)...);
+    } else if constexpr (std::is_void_v<R>) {
+      f(std::forward<Args>(args)...);
+      return MakeReadyFuture<void>();
+    } else {
+      return MakeReadyFuture<R>(f(std::forward<Args>(args)...));
+    }
+  } catch (...) {
+    return MakeFailedFuture<flatten_t<R>>(std::current_exception());
+  }
+}
+
+// Moves a ready future's value or exception into `promise`.
+template <typename U>
+void Fulfill(Promise<U>& promise, Future<U> done) {
+  try {
+    if constexpr (std::is_void_v<U>) {
+      done.Get();
+      promise.SetValue();
+    } else {
+      promise.SetValue(done.Get());
+    }
+  } catch (...) {
+    promise.SetException(std::current_exception());
+  }
+}
+
 // Fulfills `promise` with the result of invoking f(fut), unwrapping nested futures and
 // capturing thrown exceptions.
 template <typename R, typename F, typename T>
 void InvokeAndFulfill(Promise<flatten_t<R>> promise, F& f, Future<T> fut) {
+  using Flat = flatten_t<R>;
+  Future<Flat> result = InvokeReady<R>(f, std::move(fut));
   if constexpr (IsFuture<R>::value) {
-    // f returns a future: forward its eventual result into our promise (flattening).
-    using Inner = flatten_t<R>;
-    try {
-      R inner = f(std::move(fut));
-      inner.Then([promise = std::move(promise)](Future<Inner> done) mutable {
-        try {
-          if constexpr (std::is_void_v<Inner>) {
-            done.Get();
-            promise.SetValue();
-          } else {
-            promise.SetValue(done.Get());
-          }
-        } catch (...) {
-          promise.SetException(std::current_exception());
-        }
+    if (!result.Ready()) {
+      // f returned a pending future: forward its eventual result (flattening). Only this
+      // branch chains a Then, which keeps the template instantiation finite.
+      result.Then([promise = std::move(promise)](Future<Flat> done) mutable {
+        Fulfill(promise, std::move(done));
       });
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else if constexpr (std::is_void_v<R>) {
-    try {
-      f(std::move(fut));
-      promise.SetValue();
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else {
-    try {
-      promise.SetValue(f(std::move(fut)));
-    } catch (...) {
-      promise.SetException(std::current_exception());
+      return;
     }
   }
+  Fulfill(promise, std::move(result));
 }
+
+// The value alternative of an inline-ready Future<void>.
+struct VoidValue {};
 
 }  // namespace future_internal
 
@@ -233,47 +268,92 @@ class Future {
 
   Future() = default;
   explicit Future(std::shared_ptr<future_internal::SharedState<T>> state)
-      : state_(std::move(state)) {}
+      : rep_(std::in_place_index<kShared>, std::move(state)) {}
 
-  Future(Future&&) noexcept = default;
-  Future& operator=(Future&&) noexcept = default;
+  // A moved-from future is invalid, whichever representation it held.
+  Future(Future&& other) noexcept : rep_(std::move(other.rep_)) { other.Invalidate(); }
+  Future& operator=(Future&& other) noexcept {
+    if (this != &other) {
+      rep_ = std::move(other.rep_);
+      other.Invalidate();
+    }
+    return *this;
+  }
   Future(const Future&) = delete;
   Future& operator=(const Future&) = delete;
 
-  bool Valid() const { return state_ != nullptr; }
-  bool Ready() const { return state_ && state_->Ready(); }
+  bool Valid() const { return rep_.index() != kInvalid; }
+  bool Ready() const {
+    switch (rep_.index()) {
+      case kValue:
+      case kFailed:
+        return true;
+      case kShared:
+        return std::get<kShared>(rep_)->Ready();
+      default:
+        return false;
+    }
+  }
 
   // Pre: Ready(). Moves the value out or rethrows the stored exception. A continuation passed
   // to Then receives a fulfilled future and calls Get() on it (Figure 2 line 9).
   T Get() {
-    Kassert(state_ != nullptr, "Future: Get on invalid future");
+    Kassert(Valid(), "Future: Get on invalid future");
+    if (rep_.index() == kFailed) {
+      std::rethrow_exception(std::get<kFailed>(rep_));
+    }
     if constexpr (std::is_void_v<T>) {
-      state_->TakeVoid();
+      if (rep_.index() == kShared) {
+        std::get<kShared>(rep_)->TakeVoid();
+      }
     } else {
-      return state_->Take();
+      if (rep_.index() == kValue) {
+        return std::move(std::get<kValue>(rep_));
+      }
+      return std::get<kShared>(rep_)->Take();
     }
   }
 
   // Monadic bind. F is invoked with the fulfilled Future<T>; returns Future of F's (flattened)
-  // result. Runs synchronously when this future is already fulfilled.
+  // result. Runs synchronously, allocation-free, when this future is already fulfilled.
   template <typename F>
   Future<future_internal::flatten_t<std::invoke_result_t<F, Future<T>>>> Then(F f) {
     using R = std::invoke_result_t<F, Future<T>>;
     using Flat = future_internal::flatten_t<R>;
-    Kassert(state_ != nullptr, "Future: Then on invalid future");
+    Kassert(Valid(), "Future: Then on invalid future");
+    if (Ready()) {
+      Future<T> self = std::move(*this);  // consumed, whatever f's parameter type
+      return future_internal::InvokeReady<R>(f, std::move(self));
+    }
+    auto state = std::get<kShared>(std::move(rep_));  // keeps it alive through the continuation
+    Invalidate();                                     // consumed
     Promise<Flat> promise;
     Future<Flat> result = promise.GetFuture();
-    auto state = state_;  // keep alive through the continuation
     state->SetContinuation(
         [state, f = std::move(f), promise = std::move(promise)]() mutable {
           future_internal::InvokeAndFulfill<R>(std::move(promise), f, Future<T>(state));
         });
-    state_ = nullptr;  // consumed
     return result;
   }
 
  private:
-  std::shared_ptr<future_internal::SharedState<T>> state_;
+  template <typename U, typename... Args>
+  friend Future<U> MakeReadyFuture(Args&&... args);
+  template <typename U>
+  friend Future<U> MakeFailedFuture(std::exception_ptr eptr);
+
+  enum : std::size_t { kInvalid, kShared, kValue, kFailed };
+  using Value = std::conditional_t<std::is_void_v<T>, future_internal::VoidValue, T>;
+
+  template <std::size_t I, typename... Args>
+  explicit Future(std::in_place_index_t<I> tag, Args&&... args)
+      : rep_(tag, std::forward<Args>(args)...) {}
+
+  void Invalidate() { rep_.template emplace<kInvalid>(); }
+
+  std::variant<std::monostate, std::shared_ptr<future_internal::SharedState<T>>, Value,
+               std::exception_ptr>
+      rep_;
 };
 
 template <typename T>
@@ -285,58 +365,19 @@ Future<T> Promise<T>::GetFuture() {
 
 template <typename T, typename... Args>
 Future<T> MakeReadyFuture(Args&&... args) {
-  Promise<T> promise;
-  promise.SetValue(std::forward<Args>(args)...);
-  return promise.GetFuture();
+  return Future<T>(std::in_place_index<Future<T>::kValue>, std::forward<Args>(args)...);
 }
 
 template <typename T>
 Future<T> MakeFailedFuture(std::exception_ptr eptr) {
-  Promise<T> promise;
-  promise.SetException(std::move(eptr));
-  return promise.GetFuture();
+  return Future<T>(std::in_place_index<Future<T>::kFailed>, std::move(eptr));
 }
 
 // Runs `f()` and captures its (flattened) result or exception into a future. Convenient at
 // async API boundaries: callers get exception flow through the future instead of a throw.
 template <typename F>
 auto AsyncHelper(F&& f) -> Future<future_internal::flatten_t<std::invoke_result_t<F>>> {
-  using R = std::invoke_result_t<F>;
-  using Flat = future_internal::flatten_t<R>;
-  Promise<Flat> promise;
-  Future<Flat> result = promise.GetFuture();
-  if constexpr (future_internal::IsFuture<R>::value) {
-    try {
-      f().Then([promise = std::move(promise)](Future<Flat> done) mutable {
-        try {
-          if constexpr (std::is_void_v<Flat>) {
-            done.Get();
-            promise.SetValue();
-          } else {
-            promise.SetValue(done.Get());
-          }
-        } catch (...) {
-          promise.SetException(std::current_exception());
-        }
-      });
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else if constexpr (std::is_void_v<R>) {
-    try {
-      f();
-      promise.SetValue();
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  } else {
-    try {
-      promise.SetValue(f());
-    } catch (...) {
-      promise.SetException(std::current_exception());
-    }
-  }
-  return result;
+  return future_internal::InvokeReady<std::invoke_result_t<F>>(f);
 }
 
 // --- WhenAll ---------------------------------------------------------------------------------

@@ -270,7 +270,8 @@ void Interface::ScheduleArpRetry(Ipv4Addr target, int attempt) {
 }
 
 // The paper's Figure 2, modulo naming: route, resolve, fill the Ethernet header in reserved
-// headroom, transmit. On ARP cache hits the lambda runs before EthArpSend returns.
+// headroom, transmit. On ARP cache hits the lambda runs before EthArpSend returns, and the
+// ready futures on both sides of it are inline: the send allocates nothing.
 Future<void> Interface::EthArpSend(std::uint16_t proto, std::unique_ptr<IOBuf> packet) {
   const auto& ip_header = packet->Get<Ipv4Header>();
   Ipv4Addr local_dest = Route(ip_header.DstAddr());

@@ -258,23 +258,25 @@ void TcpManager::EnrollAutoCork(const std::shared_ptr<TcpEntry>& entry) {
 // The pre-cork TcpPcb::Send body: slice into MSS segments, transmit zero-copy views, retain
 // the chain for retransmission.
 void TcpManager::SendPayload(TcpEntry& e, std::unique_ptr<IOBuf> chain, std::size_t len) {
-  std::shared_ptr<IOBuf> owner(std::move(chain));
+  const IOBuf& data = *chain;  // heap-stable while the last segment owns it
   std::size_t offset = 0;
   while (offset < len) {
     std::size_t seg_len = std::min(kTcpMss, len - offset);
     std::uint32_t seq = e.snd_nxt;
-    auto views = SliceView(*owner, offset, seg_len);
+    auto views = SliceView(data, offset, seg_len);
     e.snd_nxt += static_cast<std::uint32_t>(seg_len);
     TcpEntry::RtxSeg seg;
     seg.seq = seq;
     seg.len = static_cast<std::uint32_t>(seg_len);
     seg.flags = static_cast<std::uint8_t>(kTcpAck | kTcpPsh);
     // Retain the application chain for retransmission: zero-copy now, copy only on loss.
-    seg.payload = SliceView(*owner, offset, seg_len);
-    seg.owner = owner;
+    seg.payload = SliceView(data, offset, seg_len);
+    offset += seg_len;
+    if (offset == len) {
+      seg.owner = std::move(chain);
+    }
     e.rtx_queue.push_back(std::move(seg));
     TransmitSegment(e, kTcpAck | kTcpPsh, std::move(views), seq, /*queue_rtx=*/false);
-    offset += seg_len;
   }
   ArmRtxTimer(e);
 }
@@ -450,19 +452,45 @@ void TcpManager::TransmitSegment(TcpEntry& entry, std::uint8_t flags,
 }
 
 void TcpManager::ArmRtxTimer(TcpEntry& entry) {
-  if (entry.rtx_timer != 0 || entry.rtx_queue.empty()) {
+  if (entry.rtx_deadline != 0 || entry.rtx_queue.empty()) {
     return;
   }
+  entry.rtx_deadline = Timer::Instance()->Now() + (kRtxTimeoutNs << entry.rtx_backoff);
+  if (entry.rtx_timer != 0) {
+    if (entry.rtx_timer_at <= entry.rtx_deadline) {
+      return;  // fires early and re-arms for the remainder
+    }
+    // Armed under a larger backoff: it would fire late. Rare (ACK progress after a
+    // retransmission), so the eager Stop is fine here.
+    Timer::Instance()->Stop(entry.rtx_timer);
+  }
+  StartRtxTimer(entry, entry.rtx_deadline);
+}
+
+void TcpManager::StartRtxTimer(TcpEntry& entry, std::uint64_t at) {
   auto self = table_.Find(entry.tuple);
-  Kassert(self != nullptr, "ArmRtxTimer: entry not in table");
+  Kassert(self != nullptr, "StartRtxTimer: entry not in table");
   std::shared_ptr<TcpEntry> shared = *self;
-  std::uint64_t timeout = kRtxTimeoutNs << entry.rtx_backoff;
-  entry.rtx_timer = Timer::Instance()->Start(
-      timeout, [this, shared] { RtxTimeout(shared); });
+  std::uint64_t now = Timer::Instance()->Now();
+  entry.rtx_timer_at = at;
+  entry.rtx_timer = Timer::Instance()->Start(at > now ? at - now : 0,
+                                             [this, shared] { RtxTimerFired(shared); });
+}
+
+void TcpManager::RtxTimerFired(std::shared_ptr<TcpEntry> entry) {
+  entry->rtx_timer = 0;
+  if (entry->rtx_deadline == 0) {
+    return;  // everything was acked since the timer was armed
+  }
+  if (Timer::Instance()->Now() < entry->rtx_deadline) {
+    StartRtxTimer(*entry, entry->rtx_deadline);  // ACK progress moved the deadline
+    return;
+  }
+  entry->rtx_deadline = 0;
+  RtxTimeout(std::move(entry));
 }
 
 void TcpManager::RtxTimeout(std::shared_ptr<TcpEntry> entry) {
-  entry->rtx_timer = 0;
   if (entry->rtx_queue.empty() || entry->state == TcpState::kClosed) {
     return;
   }
@@ -547,6 +575,7 @@ void TcpManager::RemoveEntry(TcpEntry& entry) {
     Timer::Instance()->Stop(entry.rtx_timer);
     entry.rtx_timer = 0;
   }
+  entry.rtx_deadline = 0;
   if (entry.time_wait_timer != 0) {
     Timer::Instance()->Stop(entry.time_wait_timer);
     entry.time_wait_timer = 0;
@@ -590,12 +619,12 @@ void TcpManager::HandleSegment(Interface& iface, const Ipv4Header& ip,
     std::shared_ptr<TcpEntry> entry = *found;  // own it within this event
     if (CurrentContext().machine_core != entry->owner_core) {
       // RSS normally guarantees affinity; fall back to shipping the segment to the owner.
-      auto shared_seg = std::make_shared<std::unique_ptr<IOBuf>>(std::move(segment));
+      std::size_t owner = entry->owner_core;
       event::Local().SpawnRemote(
-          [this, entry, tcp, shared_seg]() mutable {
-            ProcessSegment(entry, tcp, std::move(*shared_seg));
+          [this, entry = std::move(entry), tcp, segment = std::move(segment)]() mutable {
+            ProcessSegment(std::move(entry), tcp, std::move(segment));
           },
-          entry->owner_core);
+          owner);
       return;
     }
     ProcessSegment(std::move(entry), tcp, std::move(segment));
@@ -726,11 +755,9 @@ void TcpManager::ProcessSegment(std::shared_ptr<TcpEntry> entry, const TcpHeader
           break;
         }
       }
+      // Restart the RTO from this ACK. Only the deadline moves; the armed timer catches up.
       e.rtx_backoff = 0;
-      if (e.rtx_timer != 0) {
-        Timer::Instance()->Stop(e.rtx_timer);
-        e.rtx_timer = 0;
-      }
+      e.rtx_deadline = 0;
       ArmRtxTimer(e);
       e.snd_wnd = NetToHost16(tcp.window);
       // A window-limited flush left corked data behind: ACK progress is the signal to drain

@@ -32,7 +32,6 @@
 #ifndef EBBRT_SRC_NET_TCP_H_
 #define EBBRT_SRC_NET_TCP_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -42,6 +41,7 @@
 #include "src/iobuf/iobuf.h"
 #include "src/iobuf/iobuf_queue.h"
 #include "src/net/net_types.h"
+#include "src/platform/ring_queue.h"
 #include "src/rcu/rcu_hash_table.h"
 
 namespace ebbrt {
@@ -181,17 +181,24 @@ class TcpEntry {
   std::unique_ptr<TcpHandler> owned_handler;
   std::shared_ptr<void> handler_anchor;
 
-  // Retransmission queue: unacked segments with owning payload copies (retransmit is the rare
-  // path; the fast path transmits zero-copy views of application memory).
+  // Retransmission queue: unacked segments holding zero-copy views of application memory
+  // (retransmit is the rare path; only it clones). One Send's segments share one chain,
+  // owned by its LAST segment: segments are acked and popped in order, so the owner always
+  // outlives the earlier segments' views.
   struct RtxSeg {
     std::uint32_t seq;
     std::uint32_t len;  // payload bytes (+1 virtual byte for SYN/FIN)
     std::uint8_t flags;
-    std::unique_ptr<IOBuf> payload;    // views into `owner`; cloned only on retransmit
-    std::shared_ptr<IOBuf> owner;      // keeps the application chain alive until acked
+    std::unique_ptr<IOBuf> payload;  // views into the chain; cloned only on retransmit
+    std::unique_ptr<IOBuf> owner;    // the application chain, on a send's last segment
   };
-  std::deque<RtxSeg> rtx_queue;
+  RingQueue<RtxSeg> rtx_queue;
+  // Lazy RTO: ACK progress only moves `rtx_deadline` (0 when nothing is outstanding). One
+  // Timer entry is armed at a time (`rtx_timer`, firing at `rtx_timer_at`); when it fires
+  // before the deadline it re-arms for the remainder.
+  std::uint64_t rtx_deadline = 0;
   std::uint64_t rtx_timer = 0;  // Timer handle, 0 when unarmed
+  std::uint64_t rtx_timer_at = 0;
   std::uint32_t rtx_backoff = 0;
 
   // Out-of-order segments parked until the gap fills (bounded).
@@ -253,6 +260,8 @@ class TcpManager {
   // internal (used by TcpPcb/TcpEntry/TxBatcher logic)
   void TransmitSegment(TcpEntry& entry, std::uint8_t flags, std::unique_ptr<IOBuf> payload,
                        std::uint32_t seq, bool queue_rtx);
+  // Sets the RTO deadline (RTO·2^backoff from now) unless one is already set; a no-op with
+  // nothing unacked.
   void ArmRtxTimer(TcpEntry& entry);
   void RtxTimeout(std::shared_ptr<TcpEntry> entry);
   void RemoveEntry(TcpEntry& entry);
@@ -281,6 +290,9 @@ class TcpManager {
   void DeliverInOrder(TcpEntry& entry, std::unique_ptr<IOBuf> payload, std::uint8_t flags);
   void SendAckIfPending(TcpEntry& entry);
   void EnterTimeWait(std::shared_ptr<TcpEntry> entry);
+  // Arms the entry's one RTO Timer entry to fire at `at`; its callback is RtxTimerFired.
+  void StartRtxTimer(TcpEntry& entry, std::uint64_t at);
+  void RtxTimerFired(std::shared_ptr<TcpEntry> entry);
   std::uint16_t PickEphemeralPort(Interface& iface, Ipv4Addr dst, std::uint16_t dst_port,
                                   std::size_t desired_core);
 

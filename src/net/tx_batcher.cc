@@ -32,6 +32,11 @@ void TxBatcher::Flush() {
     entry->batcher_enrolled = false;
     tcp_.FlushCorked(*entry);
   }
+  if (pending_.empty()) {
+    // Nothing re-enrolled: hand the batch's capacity back so the next Enroll reuses it.
+    batch.clear();
+    pending_.swap(batch);
+  }
 }
 
 }  // namespace ebbrt

@@ -26,7 +26,6 @@
 #define EBBRT_SRC_SIM_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "src/event/sim_world.h"
 #include "src/iobuf/iobuf.h"
 #include "src/net/net_types.h"
+#include "src/platform/ring_queue.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/switch.h"
 
@@ -115,10 +115,10 @@ class Nic {
     std::size_t index = 0;
     std::size_t target_core = 0;
     std::uint32_t vector = 0;
-    std::deque<std::unique_ptr<IOBuf>> ring;
+    RingQueue<std::unique_ptr<IOBuf>> ring;
     // Driver-posted RX buffers (pool-backed), filled by the device side in FIFO order and
     // replenished by ServiceQueue on the target core.
-    std::deque<std::unique_ptr<IOBuf>> posted_rx;
+    RingQueue<std::unique_ptr<IOBuf>> posted_rx;
     bool interrupts_enabled = true;
     bool irq_pending = false;  // raised but not yet serviced
     std::unique_ptr<EventManager::IdleCallback> poll_callback;

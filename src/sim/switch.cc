@@ -114,9 +114,10 @@ void Switch::DeliverTo(std::size_t port, const IOBuf& frame, std::uint64_t at) {
   // the copy (posted ring) and the delivery.
   std::size_t queue = nic->QueueForFrame(frame);
   auto copy = nic->CopyForDelivery(frame, queue);
-  // Shared-ptr shim: MoveFunction is movable but calendar entries are heap-managed anyway.
-  auto shared = std::make_shared<std::unique_ptr<IOBuf>>(std::move(copy));
-  world_.At(at, [nic, queue, shared] { nic->DeliverFrame(std::move(*shared), queue); });
+  // MoveFunction takes the move-only frame as a capture, inline in the calendar entry.
+  world_.At(at, [nic, queue, copy = std::move(copy)]() mutable {
+    nic->DeliverFrame(std::move(copy), queue);
+  });
 }
 
 }  // namespace sim

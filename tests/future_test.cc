@@ -1,7 +1,8 @@
 // Tests for monadic futures (§3.5): Then chaining, synchronous fast path, flattening,
-// exception flow, WhenAll.
+// exception flow, WhenAll, and the allocation-free inline-ready representation.
 #include "src/future/future.h"
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,9 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/event/thread_machine.h"
+#include "src/mem/gp_allocator.h"
 
 namespace ebbrt {
 namespace {
@@ -279,6 +283,126 @@ TEST(Future, WhenAllMoveOnlyValues) {
   ASSERT_EQ(values.size(), 2u);
   EXPECT_EQ(*values[0], 1);
   EXPECT_EQ(*values[1], 2);
+}
+
+// --- Inline-ready futures ---------------------------------------------------------------------
+
+TEST(Future, ReadyChainDoesNotTouchTheHeap) {
+  // MakeReadyFuture holds its value inline and Then on a ready future runs at once with an
+  // inline result: no shared state, no Promise, no continuation — even for a capture larger
+  // than MoveFunction's inline buffer (Figure 2's send captures ~64 bytes).
+  std::array<char, 64> big{};
+  big[63] = 2;
+  auto& counter = mem::stats().generic_heap_allocs;
+  std::uint64_t before = counter.load();
+  int result = MakeReadyFuture<int>(20)
+                   .Then([](Future<int> f) { return f.Get() + 1; })
+                   .Then([big](Future<int> f) { return f.Get() * big[63]; })
+                   .Get();
+  std::uint64_t allocs = counter.load() - before;
+  EXPECT_EQ(result, 42);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(Future, ThrowInInlineContinuationReachesLastThen) {
+  bool middle_ran = false;
+  std::string caught;
+  MakeReadyFuture<int>(1)
+      .Then([](Future<int> f) -> int {
+        f.Get();
+        throw std::runtime_error("inline throw");
+      })
+      .Then([&middle_ran](Future<int> f) {
+        middle_ran = true;
+        return f.Get() + 1;  // rethrows: this result fails too
+      })
+      .Then([&caught](Future<int> f) {
+        try {
+          f.Get();
+        } catch (const std::runtime_error& e) {
+          caught = e.what();
+        }
+      });
+  EXPECT_TRUE(middle_ran);
+  EXPECT_EQ(caught, "inline throw");
+  auto failed = MakeFailedFuture<int>(std::make_exception_ptr(std::logic_error("failed")));
+  ASSERT_TRUE(failed.Ready());
+  EXPECT_THROW(failed.Get(), std::logic_error);
+}
+
+TEST(Future, InlineReadyFutureOfFutureFlattens) {
+  // A continuation on an inline-ready future that returns a future yields that future's type,
+  // ready at once when the inner one is, and pending until the inner one resolves otherwise.
+  Future<std::string> ready = MakeReadyFuture<int>(3).Then(
+      [](Future<int> f) { return MakeReadyFuture<std::string>(std::to_string(f.Get())); });
+  ASSERT_TRUE(ready.Ready());
+  EXPECT_EQ(ready.Get(), "3");
+
+  Promise<std::string> inner;
+  Future<std::string> pending =
+      MakeReadyFuture<int>(4).Then([&inner](Future<int>) { return inner.GetFuture(); });
+  EXPECT_FALSE(pending.Ready());
+  inner.SetValue("four");
+  ASSERT_TRUE(pending.Ready());
+  EXPECT_EQ(pending.Get(), "four");
+
+  Future<void> void_flat =
+      MakeReadyFuture<void>().Then([](Future<void>) { return MakeReadyFuture<void>(); });
+  EXPECT_TRUE(void_flat.Ready());
+  EXPECT_NO_THROW(void_flat.Get());
+}
+
+TEST(Future, ThenOnFulfilledPromiseRunsSynchronouslyWithoutAllocating) {
+  Promise<int> p;
+  Future<int> f = p.GetFuture();
+  p.SetValue(5);
+  auto& counter = mem::stats().generic_heap_allocs;
+  std::uint64_t before = counter.load();
+  bool ran = false;
+  Future<int> doubled = f.Then([&ran](Future<int> g) {
+    ran = true;
+    return g.Get() * 2;
+  });
+  std::uint64_t allocs = counter.load() - before;
+  EXPECT_TRUE(ran);  // before Then returned
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_FALSE(f.Valid());  // consumed
+  ASSERT_TRUE(doubled.Ready());
+  EXPECT_EQ(doubled.Get(), 10);
+}
+
+TEST(Future, PendingThenFulfilledOnAnotherCore) {
+  // The shared-state path: Then installed on core 0 before the value exists; SetValue on
+  // core 1 runs the continuation there, synchronously inside SetValue.
+  ThreadMachine machine(2);
+  machine.Start();
+  Promise<int> p;
+  Future<int> chained;
+  std::size_t ran_on = ~std::size_t{0};
+  machine.RunSync(0, [&] {
+    chained = p.GetFuture().Then([&ran_on](Future<int> f) {
+      ran_on = CurrentContext().machine_core;
+      return f.Get() + 1;
+    });
+  });
+  EXPECT_FALSE(chained.Ready());
+  machine.RunSync(1, [&] { p.SetValue(41); });
+  EXPECT_EQ(ran_on, 1u);
+  ASSERT_TRUE(chained.Ready());
+  EXPECT_EQ(chained.Get(), 42);
+  machine.Shutdown();
+}
+
+TEST(Future, MovedFromFutureIsInvalid) {
+  auto a = MakeReadyFuture<int>(1);
+  auto b = std::move(a);
+  EXPECT_FALSE(a.Valid());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b.Valid());
+  Promise<int> p;
+  auto c = p.GetFuture();
+  auto d = std::move(c);
+  EXPECT_FALSE(c.Valid());  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(d.Ready());
 }
 
 TEST(Future, CrossThreadFulfillRace) {
