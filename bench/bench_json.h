@@ -1,15 +1,17 @@
-// Minimal machine-readable bench output: maintains a single top-level JSON object in a file,
-// one named section per bench binary, so fig5/fig6/tab2 can each contribute their depth-sweep
-// results to the same BENCH_tx_batching.json. No external JSON dependency: the file format is
-// constrained to what this writer itself produces ({"name":value,...} with balanced
-// braces/brackets inside values), and anything unparsable is simply rewritten from scratch.
+// Machine-readable bench output: the row emitter every bench states its columns through, and
+// a writer that maintains one top-level JSON object per file, one named section per bench
+// run, so fig5/fig6/tab2 can each contribute their depth sweeps to the same
+// BENCH_tx_batching.json. No external JSON dependency: the file format is constrained to
+// what this writer itself produces ({"name":value,...} with balanced braces/brackets inside
+// values), and anything unparsable is simply rewritten from scratch.
 #ifndef EBBRT_BENCH_BENCH_JSON_H_
 #define EBBRT_BENCH_BENCH_JSON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -18,138 +20,125 @@
 namespace ebbrt {
 namespace bench {
 
-// One pipeline-depth measurement of the TX-batching story — the record format of every
-// BENCH_tx_batching.json section (the CI schema validator checks these keys, so all benches
-// share this single definition). The alloc_* fields carry the zero-malloc-datapath story
-// alongside (emitted to BENCH_alloc_pool.json by AllocPointsJson): counters are measured
-// from the bench's steady-state mark (MarkAllocBaseline at end of preload), so startup
-// carving is excluded — exactly the "per request in steady state" claim.
-struct DepthPoint {
-  std::size_t pipeline = 0;
-  std::size_t requests = 0;
-  std::uint64_t tx_data_segments = 0;
-  std::uint64_t sends_coalesced = 0;
-  double bytes_per_segment = 0;
-  double segments_per_op = 0;
-  std::uint64_t virtual_ns = 0;  // virtual time to serve the whole schedule
-
-  // --- allocation datapath (BENCH_alloc_pool.json) ---
-  std::uint64_t iobuf_allocs = 0;   // IOBuf storage blocks allocated (slab or heap)
-  std::uint64_t heap_allocs = 0;    // std::malloc fallbacks — the number that must be ~0
-  std::uint64_t pool_hits = 0;
-  std::uint64_t pool_misses = 0;
-  double allocs_per_op = 0;         // heap_allocs / requests
-  double pool_hit_rate = 0;
+// Preformatted JSON for a column, e.g. a nested list of records.
+struct Json {
+  std::string text;
 };
 
-// Fills a DepthPoint from a server's NetworkManager::Stats (templated to keep this header
-// free of net includes). The single place the stats->record mapping lives.
-template <typename Stats>
-inline DepthPoint FillDepthPoint(const Stats& stats, std::size_t pipeline,
-                                 std::size_t requests, std::uint64_t virtual_ns) {
-  DepthPoint point;
-  point.pipeline = pipeline;
-  point.requests = requests;
-  point.tx_data_segments = stats.tcp_tx_data_segments.load();
-  point.sends_coalesced = stats.sends_coalesced.load();
-  point.bytes_per_segment = stats.bytes_per_segment();
-  point.segments_per_op =
-      requests != 0
-          ? static_cast<double>(point.tx_data_segments) / static_cast<double>(requests)
-          : 0.0;
-  point.virtual_ns = virtual_ns;
-  point.iobuf_allocs = stats.iobuf_allocs_since_mark();
-  point.heap_allocs = stats.heap_allocs_since_mark();
-  point.pool_hits = stats.pool_hits_since_mark();
-  point.pool_misses = stats.pool_misses_since_mark();
-  point.allocs_per_op = stats.allocs_per_op(requests);
-  point.pool_hit_rate = stats.pool_hit_rate_since_mark();
-  return point;
-}
-
-inline std::string DepthPointsJson(const std::vector<DepthPoint>& points) {
-  std::string out = "[";
-  char buf[256];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const DepthPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"pipeline\": %zu, \"requests\": %zu, \"tx_data_segments\": %llu, "
-                  "\"sends_coalesced\": %llu, \"bytes_per_segment\": %.1f, "
-                  "\"segments_per_op\": %.3f, \"virtual_ns\": %llu}",
-                  i == 0 ? "" : ", ", p.pipeline, p.requests,
-                  static_cast<unsigned long long>(p.tx_data_segments),
-                  static_cast<unsigned long long>(p.sends_coalesced), p.bytes_per_segment,
-                  p.segments_per_op, static_cast<unsigned long long>(p.virtual_ns));
-    out += buf;
+// One output column: its name and its value as JSON text. Counts print as integers, rates
+// with the column's printf precision, names as JSON strings, arrays of counts as JSON
+// arrays. The same text goes to the stdout table and to the artifact, so a bench states
+// each column once.
+struct Col {
+  Col(const char* col_name, std::uint64_t value) : name(col_name), json(std::to_string(value)) {}
+  Col(const char* col_name, double value, int precision) : name(col_name) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+    json = buf;
   }
-  out += "]";
-  return out;
-}
-
-// BENCH_alloc_pool.json record: the zero-malloc-datapath evidence per depth point.
-inline std::string AllocPointsJson(const std::vector<DepthPoint>& points) {
-  std::string out = "[";
-  char buf[256];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const DepthPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"pipeline\": %zu, \"requests\": %zu, \"iobuf_allocs\": %llu, "
-                  "\"heap_allocs\": %llu, \"pool_hits\": %llu, \"pool_misses\": %llu, "
-                  "\"allocs_per_op\": %.4f, \"pool_hit_rate\": %.4f}",
-                  i == 0 ? "" : ", ", p.pipeline, p.requests,
-                  static_cast<unsigned long long>(p.iobuf_allocs),
-                  static_cast<unsigned long long>(p.heap_allocs),
-                  static_cast<unsigned long long>(p.pool_hits),
-                  static_cast<unsigned long long>(p.pool_misses), p.allocs_per_op,
-                  p.pool_hit_rate);
-    out += buf;
+  Col(const char* col_name, const char* text)
+      : name(col_name), json(std::string("\"") + text + "\"") {}
+  Col(const char* col_name, const std::vector<std::uint64_t>& values) : name(col_name) {
+    json = "[";
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      json += (i == 0 ? "" : ", ") + std::to_string(values[i]);
+    }
+    json += "]";
   }
-  out += "]";
-  return out;
+  Col(const char* col_name, Json raw) : name(col_name), json(std::move(raw.text)) {}
+
+  std::string name;
+  std::string json;
+};
+
+// One record: its columns in artifact order. `+` splices shared column groups in.
+class Row {
+ public:
+  Row(std::initializer_list<Col> cols) : cols_(cols) {}
+  const std::vector<Col>& cols() const { return cols_; }
+  friend Row operator+(Row row, const Row& more) {
+    row.cols_.insert(row.cols_.end(), more.cols_.begin(), more.cols_.end());
+    return row;
+  }
+
+ private:
+  std::vector<Col> cols_;
+};
+
+// count / ops, 0 for an empty schedule — every per-op column's denominator rule.
+inline double PerOp(std::uint64_t count, std::uint64_t ops) {
+  return ops != 0 ? static_cast<double>(count) / static_cast<double>(ops) : 0.0;
 }
 
-// The shared latency-quantile JSON fragment (no surrounding braces): every bench that
-// reports latency from an obs::Histogram appends these columns to its records, so the CI
-// validator checks ONE schema. Templated on the snapshot (obs::Histogram::Snapshot) to keep
-// this header free of src includes, like FillDepthPoint.
+// The shared latency-quantile columns: every record that reports latency from an
+// obs::Histogram carries these, so the validator checks ONE schema. Templated on the
+// snapshot (obs::Histogram::Snapshot) to keep this header free of src includes.
 template <typename Snapshot>
-inline std::string HistogramColumnsJson(const Snapshot& snapshot) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "\"samples\": %llu, \"mean_ns\": %llu, \"p50_ns\": %llu, \"p99_ns\": %llu, "
-                "\"p999_ns\": %llu",
-                static_cast<unsigned long long>(snapshot.count),
-                static_cast<unsigned long long>(snapshot.Mean()),
-                static_cast<unsigned long long>(snapshot.P50()),
-                static_cast<unsigned long long>(snapshot.P99()),
-                static_cast<unsigned long long>(snapshot.P999()));
-  return buf;
+inline Row LatencyCols(const Snapshot& s) {
+  return {{"samples", s.count},
+          {"mean_ns", static_cast<std::uint64_t>(s.Mean())},
+          {"p50_ns", s.P50()},
+          {"p99_ns", s.P99()},
+          {"p999_ns", s.P999()}};
+}
+
+// `[{...}, {...}]`: the records of one artifact section.
+inline std::string RowsJson(const std::vector<Row>& rows) {
+  std::string out = "[";
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    out += r == 0 ? "{" : ", {";
+    const std::vector<Col>& cols = rows[r].cols();
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      out += (c == 0 ? "\"" : ", \"") + cols[c].name + "\": " + cols[c].json;
+    }
+    out += "}";
+  }
+  out += "]";
+  return out;
+}
+
+// Prints `rows` as a right-aligned table under a header of column names. Array-valued
+// columns (per-shard counts, nested records) stay in the artifact only.
+inline void PrintRows(const std::vector<Row>& rows) {
+  if (rows.empty()) {
+    return;
+  }
+  std::vector<std::vector<std::string>> columns;  // per column: the name, then each cell
+  for (std::size_t c = 0; c < rows.front().cols().size(); ++c) {
+    const Col& head = rows.front().cols()[c];
+    if (head.json.front() == '[') {
+      continue;
+    }
+    std::vector<std::string> column = {head.name};
+    for (const Row& row : rows) {
+      const std::string& json = row.cols()[c].json;
+      column.push_back(json.front() == '"' ? json.substr(1, json.size() - 2) : json);
+    }
+    columns.push_back(std::move(column));
+  }
+  for (std::size_t line = 0; line <= rows.size(); ++line) {
+    std::string text;
+    for (const std::vector<std::string>& column : columns) {
+      std::size_t width = 0;
+      for (const std::string& cell : column) {
+        width = std::max(width, cell.size());
+      }
+      text += (text.empty() ? "" : " ") + std::string(width - column[line].size(), ' ') +
+              column[line];
+    }
+    std::printf("%s\n", text.c_str());
+  }
 }
 
 inline void WriteJsonSection(const std::string& path, const std::string& name,
                              const std::string& value);
 
-// Runs `run_point` per depth, prints the table, and contributes section `section` to
-// BENCH_tx_batching.json (segments story) and BENCH_alloc_pool.json (allocation story).
-inline void EmitDepthSweep(const char* section, const std::vector<std::size_t>& depths,
-                           const std::function<DepthPoint(std::size_t)>& run_point) {
-  std::printf("# TX-batching depth sweep (%s)\n", section);
-  std::printf("%-10s %10s %18s %16s %18s %16s %14s %14s\n", "pipeline", "requests",
-              "tx_data_segments", "sends_coalesced", "bytes_per_segment", "segments_per_op",
-              "allocs_per_op", "pool_hit_rate");
-  std::vector<DepthPoint> points;
-  for (std::size_t depth : depths) {
-    DepthPoint p = run_point(depth);
-    std::printf("%-10zu %10zu %18llu %16llu %18.1f %16.3f %14.4f %14.4f\n", p.pipeline,
-                p.requests, static_cast<unsigned long long>(p.tx_data_segments),
-                static_cast<unsigned long long>(p.sends_coalesced), p.bytes_per_segment,
-                p.segments_per_op, p.allocs_per_op, p.pool_hit_rate);
-    points.push_back(p);
-  }
-  WriteJsonSection("BENCH_tx_batching.json", section, DepthPointsJson(points));
-  WriteJsonSection("BENCH_alloc_pool.json", section, AllocPointsJson(points));
-  std::printf("# wrote section \"%s\" to BENCH_tx_batching.json and BENCH_alloc_pool.json\n",
-              section);
+// The one row emitter: prints `rows` and writes them as section `section` of `path`.
+inline void EmitRows(const std::string& path, const std::string& section,
+                     const std::vector<Row>& rows) {
+  PrintRows(rows);
+  WriteJsonSection(path, section, RowsJson(rows));
+  std::printf("# wrote section \"%s\" to %s\n", section.c_str(), path.c_str());
 }
 
 namespace json_detail {

@@ -2,56 +2,35 @@
 // throughput recovery when one of four replicated shards is killed mid-sweep and later
 // revived.
 //
-// Topology: a hosted frontend serving GlobalIdMap (including the versioned ring record),
-// four single-core shard machines, and one native client driving a closed loop of depth-32
-// GET rounds over a preloaded key space through a replicated ShardRouter (R=2,
-// read-one-failover, write-all preload).
+// Scenario (cluster_bench.h topology, 4 shards): depth-32 striped GET rounds through a
+// replicated router (R=2, read-one-failover, write-all preload) that watches the ring.
 //
-// Timeline (virtual): preload (write-all) -> warmup -> PRE-KILL measured rounds ->
+// Fault plan (virtual time): warmup -> PRE-KILL measured rounds ->
 // SimWorld::KillMachine(shard0) -> FAULT rounds (reads whose primary was shard0 time out
 // once, mark it suspect, fail over to the replica; later rounds route around it) ->
 // ReviveMachine at +2.5ms (TCP retransmission heals the connection at the 5ms RTO) ->
 // publish ring epoch 2 at +7ms (operator re-admission; clears suspicion via the RCU ring
 // swap) -> RECOVERY rounds.
 //
-// What the gates assert:
-//   * the error window is bounded: every key has a live replica, so reads NEVER fail —
-//     the fault phase's error rate stays ~0 (the deadline + failover machinery is why).
-//   * throughput recovers: recovery-phase ops/s >= 0.8x pre-kill ops/s.
-//   * the failover machinery actually ran: failovers, suspect marks, and a ring swap all
-//     observed; fault-phase p99 shows the one-deadline spike.
-//   * the steady-state datapath stayed clean: pre-kill allocs/op < 0.05 and zero Messenger
-//     control locks (deadline bookkeeping must not put mallocs or mutexes on the hot path).
+// What it shows: every key keeps a live replica, so reads never fail (the deadline +
+// failover machinery is why); recovery-phase ops/s returns to the pre-kill level; the
+// failover counters and the ring swap all move; the fault phase's p99 shows the
+// one-deadline spike; and the pre-kill window stays free of mallocs and control locks.
 //
-// Emits the "failover" (or "failover_smoke") section of BENCH_failover.json.
-//
-// Modes:
-//   (none)    full run (longer phases)
-//   --smoke   shorter phases; exits nonzero when any failover gate fails
-#include <algorithm>
+// Emits the "failover" section of BENCH_failover.json (60 pre-kill and 60 recovery rounds;
+// with --smoke, 20 and 20 into "failover_smoke"); tools/validate_bench_json.py
+// validate_failover gates both.
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
+#include <exception>
 
-#include "bench/bench_json.h"
-#include "src/apps/memcached/shard.h"
+#include "bench/cluster_bench.h"
 #include "src/obs/histogram.h"
-#include "src/sim/testbed.h"
 
 namespace ebbrt {
 namespace bench {
 namespace {
 
-constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
-constexpr Ipv4Addr kClientIp = Ipv4Addr::Of(10, 0, 0, 3);
-constexpr std::size_t kNumShards = 4;
 constexpr std::size_t kDepth = 32;
-constexpr std::size_t kKeySpace = 256;
-constexpr std::size_t kValueBytes = 64;
-// Modeled per-request backend service time (see fig9).
-constexpr std::uint64_t kServiceNs = 3000;
 // Per-read deadline: generous against a healthy round trip (~tens of us at depth 32) but
 // small against the fault window, so a dead primary costs one deadline, not the outage.
 constexpr std::uint64_t kReadDeadlineNs = 400'000;
@@ -65,435 +44,173 @@ constexpr std::uint64_t kFaultWindowNs = 2'500'000;
 // to clear it, pinning the cluster at 3 effective shards.
 constexpr std::uint64_t kReadmitNs = 7'000'000;
 
-std::string BenchKey(std::size_t index) { return "user:" + std::to_string(index); }
-
-struct PhaseStats {
+struct Phase {
+  const char* name = "";
   std::uint64_t ops = 0;
   std::uint64_t errors = 0;
   std::uint64_t virtual_ns = 0;
-  double ops_per_sec = 0;
-  double error_rate = 0;
-  // Per-phase latency distribution (obs::Histogram): constant space, no sort, and the
-  // shared p50/p99/p999 JSON columns via HistogramColumnsJson.
-  obs::Histogram::Snapshot latency;
+  obs::Histogram latency{};
+
+  double ops_per_sec() const {
+    return virtual_ns != 0 ? static_cast<double>(ops) * 1e9 / static_cast<double>(virtual_ns)
+                           : 0.0;
+  }
+  Row Cols() {
+    return Row{{"phase", name},
+               {"ops", ops},
+               {"errors", errors},
+               {"error_rate", PerOp(errors, ops + errors), 4},
+               {"ops_per_sec", ops_per_sec(), 0}} +
+           LatencyCols(latency.TakeSnapshot()) + Row{{"virtual_ns", virtual_ns}};
+  }
 };
 
-struct FailoverPoint {
-  bool done = false;
-  PhaseStats pre_kill;
-  PhaseStats fault;
-  PhaseStats recovery;
-  std::uint64_t t_kill_ns = 0;
-  std::uint64_t t_revive_ns = 0;
-  // Time from the kill until the first post-revive round that reached 0.8x pre-kill
-  // throughput (0 when it never did — the recovery_ratio gate catches that).
-  std::uint64_t recovery_ns = 0;
-  double recovery_ratio = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t suspects_marked = 0;
-  std::uint64_t ring_swaps = 0;
-  std::uint64_t write_skips = 0;
-  double pre_kill_allocs_per_op = 0;
-  std::uint64_t pre_kill_control_locks = 0;
+struct Failover {
+  Phase pre_kill{"pre_kill"};
+  Phase fault{"fault"};
+  Phase recovery{"recovery"};
+  Phase* phase = &pre_kill;
+  std::size_t rounds_left = 0;
+  std::uint64_t phase_start = 0;
+  std::uint64_t round_start = 0;
+  std::uint64_t round_ops = 0;
+  std::uint64_t round_errors = 0;
+  std::uint64_t t_kill = 0;
+  std::uint64_t t_revive = 0;
+  std::uint64_t recovered_at = 0;  // end of the first fast-enough recovery round
+  bool revived = false;
 };
 
-void FinishPhase(PhaseStats* phase, obs::Histogram& lat) {
-  phase->latency = lat.TakeSnapshot();
-  if (phase->virtual_ns != 0) {
-    phase->ops_per_sec = static_cast<double>(phase->ops) * 1e9 /
-                         static_cast<double>(phase->virtual_ns);
-  }
-  if (phase->ops + phase->errors != 0) {
-    phase->error_rate = static_cast<double>(phase->errors) /
-                        static_cast<double>(phase->ops + phase->errors);
-  }
-}
+bool RunFailover(std::size_t pre_kill_rounds, std::size_t recovery_rounds,
+                 std::vector<Row>* rows) {
+  memcached::ShardRouter::Config router;
+  router.replication = 2;
+  router.read_options =
+      dist::CallOptions{kReadDeadlineNs, dist::RetryPolicy{/*max_attempts=*/1}};
+  router.ring_refresh_ns = kRingRefreshNs;
+  router.frontend = kFrontendIp;
+  Failover s;
+  s.rounds_left = pre_kill_rounds;
+  Cluster cluster({.router = router});
+  SimWorld& world = cluster.bed.world();
 
-FailoverPoint RunFailover(std::size_t pre_kill_rounds, std::size_t recovery_rounds) {
-  sim::Testbed bed;
-  sim::TestbedNode frontend = bed.AddNode("frontend", 1, kFrontendIp,
-                                          sim::HypervisorModel::Native(),
-                                          RuntimeKind::kHosted);
-  std::vector<sim::TestbedNode> shard_nodes;
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    shard_nodes.push_back(bed.AddNode("shard" + std::to_string(i), 1,
-                                      Ipv4Addr::Of(10, 0, 0, 20 + static_cast<unsigned>(i))));
-  }
-  sim::TestbedNode client = bed.AddNode("client", 1, kClientIp,
-                                        sim::HypervisorModel::Native());
-
-  frontend.Spawn(0, [&] { dist::GlobalIdMap::ServeOn(*frontend.runtime); });
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    sim::TestbedNode node = shard_nodes[i];
-    node.Spawn(0, [&bed, node, i] {
-      memcached::ShardService::Config config;
-      config.on_request = [&bed] { bed.world().Charge(kServiceNs); };
-      node.runtime->Adopt(
-          std::make_shared<memcached::ShardService>(*node.runtime, i, config));
-      memcached::AnnounceShard(*node.runtime, kFrontendIp, i, node.iface->addr())
-          .Then([](Future<void> f) { f.Get(); });
-    });
-  }
-
-  enum class Phase { kWarmup, kPreKill, kFault, kRecovery };
-  struct State {
-    std::unique_ptr<memcached::ShardRouter> router;
-    Phase phase = Phase::kWarmup;
-    std::size_t rounds_left = 0;
-    std::size_t issued = 0;
-    std::size_t preloaded = 0;
-    std::uint64_t phase_start = 0;
-    std::uint64_t t_kill = 0;
-    std::uint64_t t_revive = 0;
-    bool revived = false;
-    bool readmitted = false;
-    std::uint64_t recovered_at = 0;   // end time of the first fast-enough recovery round
-    double pre_kill_round_ops = 0;    // per-round ops/s baseline for the recovery probe
-    std::uint64_t lock_mark = 0;
-    std::uint64_t lock_end = 0;
-    PhaseStats pre_kill, fault, recovery;
-    obs::Histogram lat_pre, lat_fault, lat_recovery;
-    bool done = false;
-    std::function<void()> preload_round;
-    std::function<void()> round;
-  };
-  auto state = std::make_shared<State>();
-  state->rounds_left = 2;  // warmup rounds
-
-  auto control_locks = [&client] {
-    return dist::Messenger::For(*client.runtime).stats().control_locks.load();
-  };
-
-  std::weak_ptr<State> weak_state = state;
-  client.Spawn(0, [&, state] {
-    memcached::DiscoverShards(*client.runtime, kFrontendIp, kNumShards)
-        .Then([&, state](Future<std::vector<memcached::ShardEndpoint>> f) {
-          memcached::RingRecord ring;
-          ring.epoch = 1;
-          ring.shards = f.Get();
-          // Seed the authoritative record so the watcher's polls find epoch 1 (quiet
-          // no-ops) until the revive publishes epoch 2.
-          memcached::PublishRing(*client.runtime, kFrontendIp, ring)
-              .Then([](Future<void> pf) { pf.Get(); });
-          memcached::ShardRouter::Config config;
-          config.replication = 2;
-          config.read_options = dist::CallOptions{
-              kReadDeadlineNs, dist::RetryPolicy{/*max_attempts=*/1}};
-          config.ring_refresh_ns = kRingRefreshNs;
-          config.frontend = kFrontendIp;
-          state->router = std::make_unique<memcached::ShardRouter>(
-              *client.runtime, std::move(ring), config);
-
-          state->preload_round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
-            std::size_t batch = std::min<std::size_t>(32, kKeySpace - state->preloaded);
-            std::vector<Future<void>> round;
-            round.reserve(batch);
-            for (std::size_t i = 0; i < batch; ++i) {
-              // Write-all preload: every key lands on BOTH its replicas, so the GET sweep
-              // reads consistent data no matter which replica serves it.
-              round.push_back(state->router->Set(BenchKey(state->preloaded + i),
-                                                 std::string(kValueBytes, 'v')));
-            }
-            state->preloaded += batch;
-            WhenAll(std::move(round)).Then([&, state](Future<void> wf) {
-              wf.Get();
-              if (state->preloaded < kKeySpace) {
-                state->preload_round();
-              } else {
-                state->phase_start = bed.world().Now();
-                state->round();
-              }
+  // Called after each measured round: books it to its phase and walks the fault plan.
+  auto more = [&]() {
+    std::uint64_t now = world.Now();
+    s.phase->ops += s.round_ops;
+    s.phase->errors += s.round_errors;
+    if (s.phase == &s.pre_kill) {
+      if (--s.rounds_left != 0) {
+        return true;
+      }
+      cluster.window.Close();
+      s.pre_kill.virtual_ns = cluster.window.delta.virtual_ns;
+      // Kill the first shard at a round boundary. Pause semantics: its state survives for
+      // the revive; in-flight frames to it die at the fabric.
+      world.KillMachine(*cluster.shards[0].runtime);
+      s.t_kill = now;
+      s.phase = &s.fault;
+      s.phase_start = now;
+    } else if (s.phase == &s.fault) {
+      if (!s.revived && now >= s.t_kill + kFaultWindowNs) {
+        // shard0 resumes with its store and TCP state intact; the client's pending
+        // retransmissions heal the connection at the 5ms RTO.
+        s.revived = true;
+        world.ReviveMachine(*cluster.shards[0].runtime);
+        s.t_revive = now;
+      }
+      if (s.revived && now >= s.t_kill + kReadmitNs) {
+        s.fault.virtual_ns = now - s.phase_start;
+        // Epoch 2: same membership, published by the operator as the "shard0 is healthy
+        // again" signal. Adoption clears every suspect mark via the RCU ring swap; refresh
+        // at once instead of waiting out the watcher.
+        memcached::RingRecord ring2{/*epoch=*/2, {}};
+        for (std::size_t i = 0; i < cluster.shards.size(); ++i) {
+          ring2.shards.push_back({cluster.shards[i].iface->addr(),
+                                  memcached::kShardServiceBase + static_cast<EbbId>(i)});
+        }
+        memcached::PublishRing(*cluster.client.runtime, kFrontendIp, ring2)
+            .Then([&cluster](Future<void> f) {
+              f.Get();
+              cluster.router->RefreshRing();
             });
-          };
+        s.phase = &s.recovery;
+        s.rounds_left = recovery_rounds;
+        s.phase_start = now;
+      }
+    } else {
+      // The first round back at 0.8x pre-kill throughput timestamps the recovery.
+      if (s.recovered_at == 0 && now > s.round_start &&
+          static_cast<double>(s.round_ops) * 1e9 / static_cast<double>(now - s.round_start) >=
+              0.8 * s.pre_kill.ops_per_sec()) {
+        s.recovered_at = now;
+      }
+      if (--s.rounds_left == 0) {
+        s.recovery.virtual_ns = now - s.phase_start;
+        cluster.router->StopRingWatcher();  // let the world drain
+        return false;
+      }
+    }
+    return true;
+  };
 
-          state->round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
-            std::uint64_t round_start = bed.world().Now();
-            Phase phase = state->phase;
-            auto ops = std::make_shared<std::uint64_t>(0);
-            auto errors = std::make_shared<std::uint64_t>(0);
+  bool done = cluster.Run({
+      .ops_per_round = kDepth,
+      .issue =
+          [&](std::size_t first) {
+            s.round_start = world.Now();
+            s.round_ops = 0;
+            s.round_errors = 0;
+            Phase* phase = cluster.window.marked() ? s.phase : nullptr;
             std::vector<Future<void>> round;
             round.reserve(kDepth);
             for (std::size_t i = 0; i < kDepth; ++i) {
-              std::uint64_t t0 = bed.world().Now();
+              std::uint64_t t0 = world.Now();
               round.push_back(
-                  state->router->Get(BenchKey((state->issued + i) % kKeySpace))
-                      .Then([&, state, phase, t0, ops,
-                             errors](Future<memcached::ShardRouter::GetResult> gf) {
-                        std::uint64_t lat = bed.world().Now() - t0;
+                  cluster.router->Get(BenchKey((first + i) % kKeySpace))
+                      .Then([&s, &world, phase, t0](
+                                Future<memcached::ShardRouter::GetResult> f) {
+                        std::uint64_t lat = world.Now() - t0;
                         try {
-                          gf.Get();
-                          ++*ops;
-                          switch (phase) {
-                            case Phase::kPreKill: state->lat_pre.Record(lat); break;
-                            case Phase::kFault: state->lat_fault.Record(lat); break;
-                            case Phase::kRecovery: state->lat_recovery.Record(lat); break;
-                            case Phase::kWarmup: break;
+                          f.Get();
+                          s.round_ops++;
+                          if (phase != nullptr) {
+                            phase->latency.Record(lat);
                           }
                         } catch (const std::exception&) {
-                          // Every replica failed for this key: a real availability error.
-                          // Counted, never fatal — the gate bounds the rate.
-                          ++*errors;
+                          // Every replica failed for this key: a real availability error,
+                          // counted for the error-rate columns, never fatal.
+                          s.round_errors++;
                         }
                       }));
             }
-            state->issued += kDepth;
-            WhenAll(std::move(round)).Then([&, state, round_start, ops,
-                                            errors](Future<void> wf) {
-              wf.Get();
-              std::uint64_t now = bed.world().Now();
-              PhaseStats* phase_stats = nullptr;
-              switch (state->phase) {
-                case Phase::kWarmup: break;
-                case Phase::kPreKill: phase_stats = &state->pre_kill; break;
-                case Phase::kFault: phase_stats = &state->fault; break;
-                case Phase::kRecovery: phase_stats = &state->recovery; break;
-              }
-              if (phase_stats != nullptr) {
-                phase_stats->ops += *ops;
-                phase_stats->errors += *errors;
-              }
-              // Recovery probe: the first post-revive round back at 0.8x pre-kill
-              // per-round throughput timestamps the recovery.
-              if (state->phase == Phase::kRecovery && state->recovered_at == 0 &&
-                  now > round_start) {
-                double round_ops = static_cast<double>(*ops) * 1e9 /
-                                   static_cast<double>(now - round_start);
-                if (round_ops >= 0.8 * state->pre_kill_round_ops) {
-                  state->recovered_at = now;
-                }
-              }
-
-              switch (state->phase) {
-                case Phase::kWarmup:
-                  if (--state->rounds_left == 0) {
-                    state->phase = Phase::kPreKill;
-                    state->rounds_left = pre_kill_rounds;
-                    client.net->stats().MarkAllocBaseline();
-                    state->lock_mark = control_locks();
-                    state->phase_start = now;
-                  }
-                  break;
-                case Phase::kPreKill:
-                  if (--state->rounds_left == 0) {
-                    state->pre_kill.virtual_ns = now - state->phase_start;
-                    state->pre_kill_round_ops =
-                        state->pre_kill.virtual_ns != 0
-                            ? static_cast<double>(state->pre_kill.ops) * 1e9 /
-                                  static_cast<double>(state->pre_kill.virtual_ns)
-                            : 0;
-                    state->lock_end = control_locks();
-                    // Kill the first shard at a round boundary. Pause semantics: its
-                    // state survives for the revive; in-flight frames to it die at the
-                    // fabric.
-                    bed.world().KillMachine(*shard_nodes[0].runtime);
-                    state->t_kill = now;
-                    state->phase = Phase::kFault;
-                    state->phase_start = now;
-                  }
-                  break;
-                case Phase::kFault:
-                  if (!state->revived && now >= state->t_kill + kFaultWindowNs) {
-                    state->revived = true;
-                    // Pause semantics: shard0 resumes with its store and TCP state
-                    // intact; the client's pending retransmissions heal the connection
-                    // at the 5ms RTO.
-                    bed.world().ReviveMachine(*shard_nodes[0].runtime);
-                    state->t_revive = now;
-                  }
-                  if (state->revived && !state->readmitted &&
-                      now >= state->t_kill + kReadmitNs) {
-                    state->readmitted = true;
-                    state->fault.virtual_ns = now - state->phase_start;
-                    // Epoch 2: same membership, published by the operator as the "shard0
-                    // is healthy again" signal once the node is reachable. Adoption
-                    // clears every suspect mark via the RCU ring swap; refresh
-                    // immediately instead of waiting out the watcher.
-                    memcached::RingRecord ring2;
-                    ring2.epoch = 2;
-                    for (std::size_t i = 0; i < kNumShards; ++i) {
-                      ring2.shards.push_back(
-                          {shard_nodes[i].iface->addr(),
-                           memcached::kShardServiceBase + static_cast<EbbId>(i)});
-                    }
-                    memcached::PublishRing(*client.runtime, kFrontendIp, ring2)
-                        .Then([state](Future<void> pf) {
-                          pf.Get();
-                          state->router->RefreshRing();
-                        });
-                    state->phase = Phase::kRecovery;
-                    state->rounds_left = recovery_rounds;
-                    state->phase_start = now;
-                  }
-                  break;
-                case Phase::kRecovery:
-                  if (--state->rounds_left == 0) {
-                    state->recovery.virtual_ns = now - state->phase_start;
-                    state->router->StopRingWatcher();  // let the world drain
-                    state->done = true;
-                    return;
-                  }
-                  break;
-              }
-              state->round();
-            });
-          };
-
-          state->preload_round();
-        });
+            return WhenAll(std::move(round));
+          },
+      .more = more,
   });
 
-  bed.world().Run();
-
-  FailoverPoint point;
-  if (!state->done) {
-    return point;  // done == false: visible failure in the gates
+  memcached::ShardRouter::Stats stats;
+  if (cluster.router != nullptr) {
+    stats = cluster.router->stats();
   }
-  point.done = true;
-  point.pre_kill = state->pre_kill;
-  point.fault = state->fault;
-  point.recovery = state->recovery;
-  FinishPhase(&point.pre_kill, state->lat_pre);
-  FinishPhase(&point.fault, state->lat_fault);
-  FinishPhase(&point.recovery, state->lat_recovery);
-  point.t_kill_ns = state->t_kill;
-  point.t_revive_ns = state->t_revive;
-  if (state->recovered_at != 0) {
-    point.recovery_ns = state->recovered_at - state->t_kill;
-  }
-  if (point.pre_kill.ops_per_sec > 0) {
-    point.recovery_ratio = point.recovery.ops_per_sec / point.pre_kill.ops_per_sec;
-  }
-  const memcached::ShardRouter::Stats& rstats = state->router->stats();
-  point.failovers = rstats.failovers;
-  point.suspects_marked = rstats.suspects_marked;
-  point.ring_swaps = rstats.ring_swaps;
-  point.write_skips = rstats.write_skips;
-  point.pre_kill_allocs_per_op =
-      client.net->stats().allocs_per_op(point.pre_kill.ops);
-  point.pre_kill_control_locks = state->lock_end - state->lock_mark;
-  return point;
-}
-
-std::string PhaseJson(const char* name, const PhaseStats& p) {
-  char buf[300];
-  std::snprintf(buf, sizeof(buf),
-                "{\"phase\": \"%s\", \"ops\": %llu, \"errors\": %llu, "
-                "\"error_rate\": %.4f, \"ops_per_sec\": %.0f, ",
-                name, static_cast<unsigned long long>(p.ops),
-                static_cast<unsigned long long>(p.errors), p.error_rate, p.ops_per_sec);
-  std::string out = buf;
-  out += HistogramColumnsJson(p.latency);
-  std::snprintf(buf, sizeof(buf), ", \"virtual_ns\": %llu}",
-                static_cast<unsigned long long>(p.virtual_ns));
-  out += buf;
-  return out;
-}
-
-std::string FailoverJson(const FailoverPoint& p) {
-  char buf[500];
-  std::string out = "[{\"phases\": [";
-  out += PhaseJson("pre_kill", p.pre_kill) + ", ";
-  out += PhaseJson("fault", p.fault) + ", ";
-  out += PhaseJson("recovery", p.recovery);
-  std::snprintf(buf, sizeof(buf),
-                "], \"t_kill_ns\": %llu, \"t_revive_ns\": %llu, \"recovery_ns\": %llu, "
-                "\"recovery_ratio\": %.4f, \"failovers\": %llu, "
-                "\"suspects_marked\": %llu, \"ring_swaps\": %llu, \"write_skips\": %llu, "
-                "\"pre_kill_allocs_per_op\": %.4f, \"pre_kill_control_locks\": %llu}]",
-                static_cast<unsigned long long>(p.t_kill_ns),
-                static_cast<unsigned long long>(p.t_revive_ns),
-                static_cast<unsigned long long>(p.recovery_ns), p.recovery_ratio,
-                static_cast<unsigned long long>(p.failovers),
-                static_cast<unsigned long long>(p.suspects_marked),
-                static_cast<unsigned long long>(p.ring_swaps),
-                static_cast<unsigned long long>(p.write_skips),
-                p.pre_kill_allocs_per_op,
-                static_cast<unsigned long long>(p.pre_kill_control_locks));
-  out += buf;
-  return out;
-}
-
-int GateFailover(const FailoverPoint& p) {
-  int failures = 0;
-  if (!p.done) {
-    std::fprintf(stderr, "FAIL: failover schedule did not complete\n");
-    return 1;
-  }
-  if (p.fault.error_rate > 0.02) {
-    std::fprintf(stderr, "FAIL: fault-phase error rate %.4f > 0.02 (failover is leaking "
-                 "availability)\n", p.fault.error_rate);
-    failures++;
-  }
-  if (p.recovery.error_rate > 0.02) {
-    std::fprintf(stderr, "FAIL: recovery-phase error rate %.4f > 0.02\n",
-                 p.recovery.error_rate);
-    failures++;
-  }
-  if (p.recovery_ratio < 0.8) {
-    std::fprintf(stderr, "FAIL: recovery ops/s only %.2fx pre-kill (< 0.8x)\n",
-                 p.recovery_ratio);
-    failures++;
-  }
-  if (p.failovers < 1 || p.suspects_marked < 1) {
-    std::fprintf(stderr, "FAIL: failover machinery never engaged (failovers=%llu "
-                 "suspects=%llu)\n", static_cast<unsigned long long>(p.failovers),
-                 static_cast<unsigned long long>(p.suspects_marked));
-    failures++;
-  }
-  if (p.ring_swaps < 1) {
-    std::fprintf(stderr, "FAIL: ring epoch 2 never adopted\n");
-    failures++;
-  }
-  if (p.pre_kill_allocs_per_op > 0.05) {
-    std::fprintf(stderr, "FAIL: deadline bookkeeping mallocs on the steady path "
-                 "(allocs_per_op %.4f > 0.05)\n", p.pre_kill_allocs_per_op);
-    failures++;
-  }
-  if (p.pre_kill_control_locks != 0) {
-    std::fprintf(stderr, "FAIL: %llu Messenger control locks on the pre-kill path\n",
-                 static_cast<unsigned long long>(p.pre_kill_control_locks));
-    failures++;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-void PrintPoint(const FailoverPoint& p) {
-  std::printf("%-10s %10llu %8llu %12.4f %14.0f %10llu %10llu %10llu\n", "pre_kill",
-              static_cast<unsigned long long>(p.pre_kill.ops),
-              static_cast<unsigned long long>(p.pre_kill.errors), p.pre_kill.error_rate,
-              p.pre_kill.ops_per_sec,
-              static_cast<unsigned long long>(p.pre_kill.latency.P50()),
-              static_cast<unsigned long long>(p.pre_kill.latency.P99()),
-              static_cast<unsigned long long>(p.pre_kill.latency.P999()));
-  std::printf("%-10s %10llu %8llu %12.4f %14.0f %10llu %10llu %10llu\n", "fault",
-              static_cast<unsigned long long>(p.fault.ops),
-              static_cast<unsigned long long>(p.fault.errors), p.fault.error_rate,
-              p.fault.ops_per_sec, static_cast<unsigned long long>(p.fault.latency.P50()),
-              static_cast<unsigned long long>(p.fault.latency.P99()),
-              static_cast<unsigned long long>(p.fault.latency.P999()));
-  std::printf("%-10s %10llu %8llu %12.4f %14.0f %10llu %10llu %10llu\n", "recovery",
-              static_cast<unsigned long long>(p.recovery.ops),
-              static_cast<unsigned long long>(p.recovery.errors), p.recovery.error_rate,
-              p.recovery.ops_per_sec,
-              static_cast<unsigned long long>(p.recovery.latency.P50()),
-              static_cast<unsigned long long>(p.recovery.latency.P99()),
-              static_cast<unsigned long long>(p.recovery.latency.P999()));
-  std::printf("# recovery_ratio=%.2f recovery_ns=%llu failovers=%llu suspects=%llu "
-              "ring_swaps=%llu write_skips=%llu allocs_per_op=%.4f control_locks=%llu\n",
-              p.recovery_ratio, static_cast<unsigned long long>(p.recovery_ns),
-              static_cast<unsigned long long>(p.failovers),
-              static_cast<unsigned long long>(p.suspects_marked),
-              static_cast<unsigned long long>(p.ring_swaps),
-              static_cast<unsigned long long>(p.write_skips), p.pre_kill_allocs_per_op,
-              static_cast<unsigned long long>(p.pre_kill_control_locks));
+  std::vector<Row> phases = {s.pre_kill.Cols(), s.fault.Cols(), s.recovery.Cols()};
+  PrintRows(phases);
+  rows->push_back(
+      {{"phases", Json{RowsJson(phases)}},
+       {"t_kill_ns", s.t_kill},
+       {"t_revive_ns", s.t_revive},
+       {"recovery_ns", s.recovered_at != 0 ? s.recovered_at - s.t_kill : 0},
+       {"recovery_ratio",
+        s.pre_kill.ops_per_sec() > 0 ? s.recovery.ops_per_sec() / s.pre_kill.ops_per_sec()
+                                     : 0.0,
+        4},
+       {"failovers", stats.failovers},
+       {"suspects_marked", stats.suspects_marked},
+       {"ring_swaps", stats.ring_swaps},
+       {"write_skips", stats.write_skips},
+       {"pre_kill_allocs_per_op", PerOp(cluster.window.delta.heap_allocs, s.pre_kill.ops), 4},
+       {"pre_kill_control_locks", cluster.window.delta.control_locks}});
+  return done;
 }
 
 }  // namespace
@@ -503,16 +220,11 @@ void PrintPoint(const FailoverPoint& p) {
 int main(int argc, char** argv) {
   using namespace ebbrt::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  std::printf("# failover sweep: kill 1 of %zu shards (R=2) mid-run, revive after %.1fms\n",
-              kNumShards, kFaultWindowNs / 1e6);
-  std::printf("%-10s %10s %8s %12s %14s %10s %10s %10s\n", "phase", "ops", "errors",
-              "error_rate", "ops_per_sec", "p50_ns", "p99_ns", "p999_ns");
-  FailoverPoint p = smoke ? RunFailover(/*pre_kill_rounds=*/20, /*recovery_rounds=*/20)
-                          : RunFailover(/*pre_kill_rounds=*/60, /*recovery_rounds=*/60);
-  PrintPoint(p);
-  WriteJsonSection("BENCH_failover.json", smoke ? "failover_smoke" : "failover",
-                   FailoverJson(p));
-  std::printf("# wrote section \"%s\" to BENCH_failover.json\n",
-              smoke ? "failover_smoke" : "failover");
-  return GateFailover(p);
+  std::printf("# failover: kill 1 of 4 shards (R=2) mid-run, revive after %.1fms\n",
+              kFaultWindowNs / 1e6);
+  std::vector<Row> rows;
+  bool completed = smoke ? RunFailover(/*pre_kill_rounds=*/20, /*recovery_rounds=*/20, &rows)
+                         : RunFailover(/*pre_kill_rounds=*/60, /*recovery_rounds=*/60, &rows);
+  EmitRows("BENCH_failover.json", smoke ? "failover_smoke" : "failover", rows);
+  return completed ? 0 : 1;
 }

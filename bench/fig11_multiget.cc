@@ -1,11 +1,8 @@
 // Figure 11 (extension) — bulk RPC: zero-copy scatter-gather MultiGet across shards.
 // Per-key wire/allocation/latency cost as the batch size grows, at {1, 4} shards.
 //
-// Topology per point (fig9's): a hosted frontend serving GlobalIdMap, N single-core shard
-// machines (ShardService over the RCU KvStore, announced under "service/memcached/<i>"),
-// and one native client that discovers the shard set, builds a ShardRouter, and drives a
-// closed loop of MultiGet rounds: each round is ONE MultiGet of `batch` striped keys, and
-// the loop waits for the whole batch future before issuing the next.
+// Scenario (cluster_bench.h topology): each round is ONE MultiGet of `batch` striped keys
+// through a static router, and the loop waits for the whole batch before issuing the next.
 //
 // What the sweep shows:
 //   * segments/key COLLAPSES with batch: a batch-1 round pays a request and reply segment
@@ -17,287 +14,63 @@
 //   * allocs/key stays 0.0 and the values cross zero-copy: replies are carved into per-key
 //     views of the received chain (IOBufQueue::Split), never memcpy'd.
 //
-// Emits the "multiget" section of BENCH_multiget.json.
-//
-// Modes:
-//   (none)    full sweep shards {1,4} x batch {1,8,64}; asserts batch-64 strictly below
-//             batch-1 on BOTH segments/key and ns/key at each shard count
-//   --smoke   (4-shard, batch-1) + (4-shard, batch-64); exits nonzero when the bulk path
-//             degrades (segments/key@64 > 0.5x batch-1, allocs_per_op > 0.05, pool off,
-//             or control locks taken during the measured window)
+// Emits the "multiget" section of BENCH_multiget.json (with --smoke, "multiget_smoke": the
+// 4-shard batch-1 and batch-64 points); tools/validate_bench_json.py validate_multiget
+// gates both.
 #include <cstring>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "bench/bench_json.h"
-#include "src/apps/memcached/shard.h"
-#include "src/sim/testbed.h"
+#include "bench/cluster_bench.h"
 
 namespace ebbrt {
 namespace bench {
 namespace {
 
-constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
-constexpr Ipv4Addr kClientIp = Ipv4Addr::Of(10, 0, 0, 3);
-constexpr std::size_t kKeySpace = 256;
-constexpr std::size_t kValueBytes = 64;
-// Modeled per-KEY backend service time (same knob as fig9; ShardService charges it once per
-// key of a batch, so batching cannot fake throughput by discounting backend work).
-constexpr std::uint64_t kServiceNs = 3000;
-
-std::string BenchKey(std::size_t index) { return "user:" + std::to_string(index); }
-
-struct MultiGetPoint {
-  std::size_t shards = 0;
-  std::size_t batch = 0;
-  std::size_t keys = 0;  // measured (post-warmup) keys fetched
-  double ops_per_sec = 0;  // keys per second
-  double ns_per_key = 0;
-  std::uint64_t tx_data_segments = 0;  // client + shards, both directions, measured window
-  double segments_per_op = 0;          // per key
-  std::uint64_t heap_allocs = 0;
-  double allocs_per_op = 0;
-  double pool_hit_rate = 0;
-  std::size_t hits = 0;  // found results in the measured window (must equal keys)
-  std::uint64_t control_locks = 0;
-  std::uint64_t virtual_ns = 0;
-};
-
-MultiGetPoint RunMultiGetPoint(std::size_t num_shards, std::size_t batch,
-                               std::size_t total_keys) {
-  sim::Testbed bed;
-  sim::TestbedNode frontend = bed.AddNode("frontend", 1, kFrontendIp,
-                                          sim::HypervisorModel::Native(),
-                                          RuntimeKind::kHosted);
-  std::vector<sim::TestbedNode> shard_nodes;
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    shard_nodes.push_back(bed.AddNode("shard" + std::to_string(i), 1,
-                                      Ipv4Addr::Of(10, 0, 0, 20 + static_cast<unsigned>(i))));
-  }
-  sim::TestbedNode client = bed.AddNode("client", 1, kClientIp,
-                                        sim::HypervisorModel::Native());
-
-  frontend.Spawn(0, [&] { dist::GlobalIdMap::ServeOn(*frontend.runtime); });
-  for (std::size_t i = 0; i < num_shards; ++i) {
-    sim::TestbedNode node = shard_nodes[i];
-    node.Spawn(0, [&bed, node, i] {
-      memcached::ShardService::Config config;
-      config.on_request = [&bed] { bed.world().Charge(kServiceNs); };
-      node.runtime->Adopt(
-          std::make_shared<memcached::ShardService>(*node.runtime, i, config));
-      memcached::AnnounceShard(*node.runtime, kFrontendIp, i, node.iface->addr())
-          .Then([](Future<void> f) { f.Get(); });
-    });
-  }
-
-  struct State {
-    std::unique_ptr<memcached::ShardRouter> router;
-    std::size_t batch = 0;
-    std::size_t warmup = 0;  // keys, not rounds
-    std::size_t total = 0;
-    std::size_t issued = 0;
-    std::size_t preloaded = 0;
-    std::size_t hits = 0;
-    bool marked = false;
-    std::uint64_t t_start = 0;
-    std::uint64_t t_end = 0;
-    std::uint64_t seg_mark = 0;
-    std::uint64_t seg_end = 0;
-    std::uint64_t lock_mark = 0;
-    std::uint64_t lock_end = 0;
-    bool done = false;
-    std::function<void()> preload_round;
-    std::function<void()> round;
-  };
-  auto state = std::make_shared<State>();
-  state->batch = batch;
-  state->warmup = 2 * batch;
-  state->total = total_keys;
-
-  auto all_data_segments = [&client, &shard_nodes] {
-    std::uint64_t total = client.net->stats().tcp_tx_data_segments.load();
-    for (const sim::TestbedNode& node : shard_nodes) {
-      total += node.net->stats().tcp_tx_data_segments.load();
-    }
-    return total;
-  };
-  auto all_control_locks = [&client, &frontend, &shard_nodes] {
-    std::uint64_t total =
-        dist::Messenger::For(*client.runtime).stats().control_locks.load() +
-        dist::Messenger::For(*frontend.runtime).stats().control_locks.load();
-    for (const sim::TestbedNode& node : shard_nodes) {
-      total += dist::Messenger::For(*node.runtime).stats().control_locks.load();
-    }
-    return total;
-  };
-
-  std::weak_ptr<State> weak_state = state;
-  client.Spawn(0, [&, state] {
-    memcached::DiscoverShards(*client.runtime, kFrontendIp, num_shards)
-        .Then([&, state](Future<std::vector<memcached::ShardEndpoint>> f) {
-          state->router =
-              std::make_unique<memcached::ShardRouter>(*client.runtime, f.Get());
-
-          state->preload_round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
-            std::size_t n = std::min<std::size_t>(32, kKeySpace - state->preloaded);
-            std::vector<Future<void>> round;
-            round.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              round.push_back(state->router->Set(BenchKey(state->preloaded + i),
-                                                 std::string(kValueBytes, 'v')));
-            }
-            state->preloaded += n;
-            WhenAll(std::move(round)).Then([&, state](Future<void> wf) {
-              wf.Get();
-              if (state->preloaded < kKeySpace) {
-                state->preload_round();
-              } else {
-                state->round();
-              }
-            });
-          };
-
-          state->round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
-            // One MultiGet per round: `batch` striped keys in one scatter-gather batch.
-            // The stripe is batch-independent — key k of the run reads key k % kKeySpace —
-            // so every (batch, shards) point sees the same key sequence, and the only
-            // variable is how many keys share a round trip.
+// One (shards, batch) point; `keys` measured keys after the warmup.
+Row RunMultiGetPoint(std::size_t num_shards, std::size_t batch, std::size_t keys,
+                     bool* completed) {
+  std::uint64_t hits = 0;  // found results in the measured window (must equal keys)
+  Cluster cluster({.shards = num_shards});
+  bool done = cluster.Run({
+      .ops_per_round = batch,
+      .issue =
+          [&cluster, &hits, batch](std::size_t first) {
             std::vector<std::string> key_storage;
-            key_storage.reserve(state->batch);
-            for (std::size_t i = 0; i < state->batch; ++i) {
-              key_storage.push_back(BenchKey((state->issued + i) % kKeySpace));
+            key_storage.reserve(batch);
+            for (std::size_t i = 0; i < batch; ++i) {
+              key_storage.push_back(BenchKey((first + i) % kKeySpace));
             }
-            std::vector<std::string_view> keys(key_storage.begin(), key_storage.end());
-            state->issued += state->batch;
-            state->router->MultiGet(keys).Then(
-                [&, state, key_storage = std::move(key_storage)](
-                    Future<std::vector<memcached::ShardRouter::GetResult>> bf) {
-                  std::vector<memcached::ShardRouter::GetResult> results = bf.Get();
-                  for (const memcached::ShardRouter::GetResult& r : results) {
-                    if (r.found) {
-                      state->hits++;
+            std::vector<std::string_view> round(key_storage.begin(), key_storage.end());
+            return cluster.router->MultiGet(round).Then(
+                [&cluster, &hits, key_storage = std::move(key_storage)](
+                    Future<std::vector<memcached::ShardRouter::GetResult>> f) {
+                  for (const memcached::ShardRouter::GetResult& r : f.Get()) {
+                    if (r.found && cluster.window.marked()) {
+                      hits++;
                     }
                   }
-                  if (!state->marked && state->issued >= state->warmup) {
-                    client.net->stats().MarkAllocBaseline();
-                    state->seg_mark = all_data_segments();
-                    state->lock_mark = all_control_locks();
-                    state->t_start = bed.world().Now();
-                    state->marked = true;
-                    state->issued = 0;
-                    state->hits = 0;
-                  }
-                  if (!state->marked || state->issued < state->total) {
-                    state->round();
-                    return;
-                  }
-                  state->t_end = bed.world().Now();
-                  state->seg_end = all_data_segments();
-                  state->lock_end = all_control_locks();
-                  state->done = true;
                 });
-          };
-
-          state->preload_round();
-        });
+          },
+      .more = Rounds(keys / batch),
+      .restripe_at_mark = true,
   });
-
-  bed.world().Run();
-
-  MultiGetPoint point;
-  point.shards = num_shards;
-  point.batch = batch;
-  if (!state->done) {
-    return point;  // keys == 0: visible failure in the table and the smoke gate
+  *completed = *completed && done;
+  if (!done) {
+    keys = 0;
   }
-  point.keys = state->total;
-  point.hits = state->hits;
-  point.virtual_ns = state->t_end - state->t_start;
-  point.ns_per_key = point.keys != 0 ? static_cast<double>(point.virtual_ns) /
-                                           static_cast<double>(point.keys)
-                                     : 0.0;
-  point.ops_per_sec = point.virtual_ns != 0
-                          ? static_cast<double>(point.keys) * 1e9 /
-                                static_cast<double>(point.virtual_ns)
-                          : 0.0;
-  point.tx_data_segments = state->seg_end - state->seg_mark;
-  point.segments_per_op =
-      static_cast<double>(point.tx_data_segments) / static_cast<double>(point.keys);
-  const NetworkManager::Stats& stats = client.net->stats();
-  point.heap_allocs = stats.heap_allocs_since_mark();
-  point.allocs_per_op = stats.allocs_per_op(point.keys);
-  point.pool_hit_rate = stats.pool_hit_rate_since_mark();
-  point.control_locks = state->lock_end - state->lock_mark;
-  return point;
-}
-
-std::string MultiGetPointsJson(const std::vector<MultiGetPoint>& points) {
-  std::string out = "[";
-  char buf[400];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const MultiGetPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"shards\": %zu, \"batch\": %zu, \"keys\": %zu, "
-                  "\"ops_per_sec\": %.0f, \"ns_per_key\": %.1f, "
-                  "\"tx_data_segments\": %llu, \"segments_per_op\": %.3f, "
-                  "\"heap_allocs\": %llu, \"allocs_per_op\": %.4f, "
-                  "\"pool_hit_rate\": %.4f, \"hits\": %zu, \"control_locks\": %llu, "
-                  "\"virtual_ns\": %llu}",
-                  i == 0 ? "" : ", ", p.shards, p.batch, p.keys, p.ops_per_sec,
-                  p.ns_per_key, static_cast<unsigned long long>(p.tx_data_segments),
-                  p.segments_per_op, static_cast<unsigned long long>(p.heap_allocs),
-                  p.allocs_per_op, p.pool_hit_rate, p.hits,
-                  static_cast<unsigned long long>(p.control_locks),
-                  static_cast<unsigned long long>(p.virtual_ns));
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-int GatePoint(const MultiGetPoint& p) {
-  int failures = 0;
-  if (p.keys == 0) {
-    std::fprintf(stderr, "FAIL: multiget schedule did not complete (shards=%zu batch=%zu)\n",
-                 p.shards, p.batch);
-    return 1;
-  }
-  if (p.hits != p.keys) {
-    std::fprintf(stderr, "FAIL: %zu of %zu preloaded keys missed (shards=%zu batch=%zu)\n",
-                 p.keys - p.hits, p.keys, p.shards, p.batch);
-    failures++;
-  }
-  if (p.allocs_per_op > 0.05) {
-    std::fprintf(stderr, "FAIL: bulk datapath mallocs (allocs_per_op %.4f > 0.05)\n",
-                 p.allocs_per_op);
-    failures++;
-  }
-  if (p.pool_hit_rate == 0.0) {
-    std::fprintf(stderr, "FAIL: buffer pool silently disabled on the bulk path\n");
-    failures++;
-  }
-  if (p.control_locks != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu Messenger control locks taken on the steady-state path\n",
-                 static_cast<unsigned long long>(p.control_locks));
-    failures++;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-void PrintPoint(const MultiGetPoint& p) {
-  std::printf("%-8zu %-8zu %8zu %14.0f %12.1f %16.3f %14.4f %14.4f\n", p.shards, p.batch,
-              p.keys, p.ops_per_sec, p.ns_per_key, p.segments_per_op, p.allocs_per_op,
-              p.pool_hit_rate);
+  const Window& w = cluster.window;
+  return {{"shards", num_shards},
+          {"batch", batch},
+          {"keys", keys},
+          {"ops_per_sec", w.ops_per_sec(keys), 0},
+          {"ns_per_key", PerOp(w.delta.virtual_ns, keys), 1},
+          {"tx_data_segments", w.delta.tx_data_segments},
+          {"segments_per_op", PerOp(w.delta.tx_data_segments, keys), 3},
+          {"heap_allocs", w.delta.heap_allocs},
+          {"allocs_per_op", PerOp(w.delta.heap_allocs, keys), 4},
+          {"pool_hit_rate", w.pool_hit_rate(), 4},
+          {"hits", hits},
+          {"control_locks", w.delta.control_locks},
+          {"virtual_ns", w.delta.virtual_ns}};
 }
 
 }  // namespace
@@ -307,63 +80,19 @@ void PrintPoint(const MultiGetPoint& p) {
 int main(int argc, char** argv) {
   using namespace ebbrt::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bool completed = true;
+  std::vector<Row> rows;
   if (smoke) {
-    MultiGetPoint base = RunMultiGetPoint(/*shards=*/4, /*batch=*/1, /*total_keys=*/128);
-    MultiGetPoint bulk = RunMultiGetPoint(/*shards=*/4, /*batch=*/64, /*total_keys=*/256);
-    std::printf("smoke: shards=4 batch=1  segments_per_op=%.3f ns_per_key=%.1f\n",
-                base.segments_per_op, base.ns_per_key);
-    std::printf("smoke: shards=4 batch=64 segments_per_op=%.3f ns_per_key=%.1f "
-                "allocs_per_op=%.4f pool_hit_rate=%.4f control_locks=%llu\n",
-                bulk.segments_per_op, bulk.ns_per_key, bulk.allocs_per_op,
-                bulk.pool_hit_rate, static_cast<unsigned long long>(bulk.control_locks));
-    int failures = GatePoint(base) + GatePoint(bulk);
-    // The batching acceptance: a batch-64 key must cost AT MOST half the wire segments of
-    // a batch-1 key, or bulk RPC has stopped amortizing the per-round-trip overhead.
-    if (base.keys != 0 && bulk.keys != 0 &&
-        bulk.segments_per_op > 0.5 * base.segments_per_op) {
-      std::fprintf(stderr,
-                   "FAIL: batch-64 segments/key %.3f > 0.5x batch-1 %.3f\n",
-                   bulk.segments_per_op, base.segments_per_op);
-      failures++;
-    }
-    WriteJsonSection("BENCH_multiget.json", "multiget_smoke",
-                     MultiGetPointsJson({base, bulk}));
-    return failures == 0 ? 0 : 1;
-  }
-  std::printf("# bulk RPC sweep (scatter-gather MultiGet over the consistent-hash router)\n");
-  std::printf("%-8s %-8s %8s %14s %12s %16s %14s %14s\n", "shards", "batch", "keys",
-              "ops_per_sec", "ns_per_key", "segments_per_op", "allocs_per_op",
-              "pool_hit_rate");
-  std::vector<MultiGetPoint> points;
-  int failures = 0;
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    MultiGetPoint batch1;
-    for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{64}}) {
-      MultiGetPoint p = RunMultiGetPoint(shards, batch, /*total_keys=*/512);
-      PrintPoint(p);
-      failures += GatePoint(p);
-      if (batch == 1) {
-        batch1 = p;
+    rows.push_back(RunMultiGetPoint(/*shards=*/4, /*batch=*/1, /*keys=*/128, &completed));
+    rows.push_back(RunMultiGetPoint(/*shards=*/4, /*batch=*/64, /*keys=*/256, &completed));
+  } else {
+    for (std::size_t shards : {1, 4}) {
+      for (std::size_t batch : {1, 8, 64}) {
+        rows.push_back(RunMultiGetPoint(shards, batch, /*keys=*/512, &completed));
       }
-      // The headline acceptance: at batch 64 BOTH per-key wire cost and per-key latency
-      // must sit strictly below the batch-1 baseline at the same shard count.
-      if (batch == 64 && p.keys != 0 && batch1.keys != 0) {
-        if (p.segments_per_op >= batch1.segments_per_op) {
-          std::fprintf(stderr,
-                       "FAIL: shards=%zu batch-64 segments/key %.3f >= batch-1 %.3f\n",
-                       shards, p.segments_per_op, batch1.segments_per_op);
-          failures++;
-        }
-        if (p.ns_per_key >= batch1.ns_per_key) {
-          std::fprintf(stderr, "FAIL: shards=%zu batch-64 ns/key %.1f >= batch-1 %.1f\n",
-                       shards, p.ns_per_key, batch1.ns_per_key);
-          failures++;
-        }
-      }
-      points.push_back(p);
     }
   }
-  WriteJsonSection("BENCH_multiget.json", "multiget", MultiGetPointsJson(points));
-  std::printf("# wrote section \"multiget\" to BENCH_multiget.json\n");
-  return failures == 0 ? 0 : 1;
+  std::printf("# bulk RPC (scatter-gather MultiGet over the consistent-hash router)\n");
+  EmitRows("BENCH_multiget.json", smoke ? "multiget_smoke" : "multiget", rows);
+  return completed ? 0 : 1;
 }

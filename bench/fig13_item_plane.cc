@@ -19,12 +19,7 @@
 //   item_plane_baseline  (--section) — recorded once against the pre-refactor item plane
 //   item_plane_smoke     (--smoke)   — reduced op count, gated (CI)
 //
-// Modes:
-//   (none)    full sweep -> section "item_plane"
-//   --section <name>  full sweep -> named section
-//   --smoke   reduced sweep -> section "item_plane_smoke"; exits nonzero when any point
-//             allocates on the generic heap in steady state (get/set/overall
-//             heap_allocs_per_op >= 0.05) or takes a dispatch-path control lock.
+// tools/validate_bench_json.py validate_item_plane gates every section.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -41,8 +36,9 @@
 namespace ebbrt {
 namespace {
 
-using bench::HistogramColumnsJson;
-using bench::WriteJsonSection;
+using bench::EmitRows;
+using bench::LatencyCols;
+using bench::Row;
 
 constexpr std::size_t kKeys = 2048;
 constexpr std::size_t kBatchOps = 2048;  // ops per event: RCU reclamation drains between
@@ -180,101 +176,50 @@ MixPoint RunPoint(int get_pct, std::size_t value_size, std::uint64_t total_ops) 
   return point;
 }
 
-std::string PointsJson(const std::vector<MixPoint>& points) {
-  std::string out = "[";
-  char buf[512];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const MixPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"mix_get_pct\": %d, \"value_size\": %zu, \"ops\": %llu, "
-                  "\"gets\": %llu, \"sets\": %llu, \"ns_per_op\": %.1f, %s, "
-                  "\"get_heap_allocs_per_op\": %.4f, \"set_heap_allocs_per_op\": %.4f, "
-                  "\"heap_allocs_per_op\": %.4f, \"control_locks\": %llu}",
-                  i == 0 ? "" : ", ", p.get_pct, p.value_size,
-                  static_cast<unsigned long long>(p.ops),
-                  static_cast<unsigned long long>(p.gets),
-                  static_cast<unsigned long long>(p.sets), p.ns_per_op,
-                  HistogramColumnsJson(p.latency).c_str(), p.get_heap_allocs_per_op,
-                  p.set_heap_allocs_per_op, p.heap_allocs_per_op,
-                  static_cast<unsigned long long>(p.control_locks));
-    out += buf;
-  }
-  out += "]";
-  return out;
+Row Cols(const MixPoint& p) {
+  return Row{{"mix_get_pct", static_cast<std::uint64_t>(p.get_pct)},
+             {"value_size", p.value_size},
+             {"ops", p.ops},
+             {"gets", p.gets},
+             {"sets", p.sets},
+             {"ns_per_op", p.ns_per_op, 1}} +
+         LatencyCols(p.latency) +
+         Row{{"get_heap_allocs_per_op", p.get_heap_allocs_per_op, 4},
+             {"set_heap_allocs_per_op", p.set_heap_allocs_per_op, 4},
+             {"heap_allocs_per_op", p.heap_allocs_per_op, 4},
+             {"control_locks", p.control_locks}};
 }
 
-int GatePoint(const MixPoint& p) {
-  int failures = 0;
-  if (p.ops == 0) {
-    std::fprintf(stderr, "FAIL: point %d/%zu ran no ops\n", p.get_pct, p.value_size);
-    return 1;
-  }
-  if (p.get_heap_allocs_per_op >= 0.05 || p.set_heap_allocs_per_op >= 0.05 ||
-      p.heap_allocs_per_op >= 0.05) {
-    std::fprintf(stderr,
-                 "FAIL: item plane mallocs at mix %d/%d value %zu "
-                 "(get %.4f set %.4f overall %.4f allocs/op)\n",
-                 p.get_pct, 100 - p.get_pct, p.value_size, p.get_heap_allocs_per_op,
-                 p.set_heap_allocs_per_op, p.heap_allocs_per_op);
-    failures++;
-  }
-  if (p.control_locks != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu dispatch-path control locks at mix %d/%d value %zu\n",
-                 static_cast<unsigned long long>(p.control_locks), p.get_pct,
-                 100 - p.get_pct, p.value_size);
-    failures++;
-  }
-  return failures;
-}
-
-void PrintPoint(const MixPoint& p) {
-  std::printf("%3d/%-3d %10zu %9llu %10.1f %8llu %8llu %8llu %10.4f %10.4f %10llu\n",
-              p.get_pct, 100 - p.get_pct, p.value_size,
-              static_cast<unsigned long long>(p.ops), p.ns_per_op,
-              static_cast<unsigned long long>(p.latency.P50()),
-              static_cast<unsigned long long>(p.latency.P99()),
-              static_cast<unsigned long long>(p.latency.P999()),
-              p.get_heap_allocs_per_op, p.set_heap_allocs_per_op,
-              static_cast<unsigned long long>(p.control_locks));
-}
-
-int Run(const char* section, std::uint64_t ops_per_point, bool gate) {
+// Runs the sweep into `section`; false when some point ran no ops.
+bool Run(const char* section, std::uint64_t ops_per_point) {
   const int mixes[] = {100, 90, 50};
   const std::size_t value_sizes[] = {64, 1024, 8192};
-  std::printf("# item-plane mix sweep (%s, %llu ops/point)\n", section,
-              static_cast<unsigned long long>(ops_per_point));
-  std::printf("%-7s %10s %9s %10s %8s %8s %8s %10s %10s %10s\n", "mix", "value_size",
-              "ops", "ns_per_op", "p50_ns", "p99_ns", "p999_ns", "get_allocs",
-              "set_allocs", "ctl_locks");
-  std::vector<MixPoint> points;
-  int failures = 0;
+  bool completed = true;
+  std::vector<Row> rows;
   for (int mix : mixes) {
     for (std::size_t vs : value_sizes) {
       MixPoint p = RunPoint(mix, vs, ops_per_point);
-      PrintPoint(p);
-      if (gate) {
-        failures += GatePoint(p);
-      }
-      points.push_back(std::move(p));
+      completed = completed && p.ops != 0;
+      rows.push_back(Cols(p));
     }
   }
-  WriteJsonSection("BENCH_item_plane.json", section, PointsJson(points));
-  std::printf("# wrote section \"%s\" to BENCH_item_plane.json\n", section);
-  return failures == 0 ? 0 : 1;
+  std::printf("# item-plane mix sweep (%s, %llu ops/point)\n", section,
+              static_cast<unsigned long long>(ops_per_point));
+  EmitRows("BENCH_item_plane.json", section, rows);
+  return completed;
 }
 
 }  // namespace
 }  // namespace ebbrt
 
 int main(int argc, char** argv) {
-  bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  if (smoke) {
-    return ebbrt::Run("item_plane_smoke", 20000, /*gate=*/true);
-  }
   const char* section = "item_plane";
-  if (argc > 2 && std::strcmp(argv[1], "--section") == 0) {
+  std::uint64_t ops = 200000;
+  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) {
+    section = "item_plane_smoke";
+    ops = 20000;
+  } else if (argc > 2 && std::strcmp(argv[1], "--section") == 0) {
     section = argv[2];
   }
-  return ebbrt::Run(section, 200000, /*gate=*/false);
+  return ebbrt::Run(section, ops) ? 0 : 1;
 }

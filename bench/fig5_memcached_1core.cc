@@ -2,16 +2,13 @@
 // function of offered throughput, for EbbRT/KVM, Linux/KVM, Linux native, and OSv.
 //
 // Also emits the TX-batching depth sweep (pipeline {1, 8, 32}) as the "memcached_1core"
-// section of BENCH_tx_batching.json — the segments-per-op evidence for event-scoped send
-// aggregation.
+// section of BENCH_tx_batching.json and BENCH_alloc_pool.json.
 //
 // Modes:
 //   (none)        full figure + depth sweep
-//   --sweep-only  just the depth sweep (fast; used to regenerate BENCH_tx_batching.json and
-//                 BENCH_alloc_pool.json)
-//   --smoke       depth-8 points at two request counts (CI gate: fails if TX batching OR the
-//                 zero-malloc alloc pool is silently disabled — pool hit rate 0, mallocs per
-//                 op above threshold, or heap allocs scaling linearly with request count)
+//   --sweep-only  just the depth sweep
+//   --smoke       depth-8 points at 256 and 512 requests into "memcached_1core_smoke"
+//                 (tools/validate_bench_json.py validate_tx_batching, validate_alloc_pool)
 #include <cstring>
 
 #include "bench/memcached_common.h"
@@ -21,44 +18,12 @@ int main(int argc, char** argv) {
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   bool sweep_only = argc > 1 && std::strcmp(argv[1], "--sweep-only") == 0;
   if (smoke) {
-    // Two request counts: steady-state heap allocs must not grow with the schedule — the
-    // "allocation cost per request collapses to ~0" claim, falsified if the counters scale.
-    DepthPoint p = RunDepthPoint(/*server_cores=*/1, /*depth=*/8, /*total_requests=*/256);
-    DepthPoint p2 = RunDepthPoint(/*server_cores=*/1, /*depth=*/8, /*total_requests=*/512);
-    std::printf("smoke: pipeline=8 requests=%zu tx_data_segments=%llu sends_coalesced=%llu"
-                " segments_per_op=%.3f allocs_per_op=%.4f pool_hit_rate=%.4f\n",
-                p.requests, static_cast<unsigned long long>(p.tx_data_segments),
-                static_cast<unsigned long long>(p.sends_coalesced), p.segments_per_op,
-                p.allocs_per_op, p.pool_hit_rate);
-    std::printf("smoke: requests=%zu heap_allocs=%llu (vs %llu at half the schedule)\n",
-                p2.requests, static_cast<unsigned long long>(p2.heap_allocs),
-                static_cast<unsigned long long>(p.heap_allocs));
-    WriteJsonSection("BENCH_tx_batching.json", "memcached_1core_smoke",
-                     DepthPointsJson({p}));
-    WriteJsonSection("BENCH_alloc_pool.json", "memcached_1core_smoke",
-                     AllocPointsJson({p, p2}));
-    if (p.requests == 0 || p.sends_coalesced == 0) {
-      std::fprintf(stderr, "FAIL: TX batching silently disabled (sends_coalesced == 0)\n");
-      return 1;
-    }
-    if (p.pool_hit_rate == 0.0) {
-      std::fprintf(stderr, "FAIL: buffer pool silently disabled (pool hit rate == 0)\n");
-      return 1;
-    }
-    if (p.allocs_per_op > 0.05 || p2.allocs_per_op > 0.05) {
-      std::fprintf(stderr, "FAIL: steady-state datapath mallocs (allocs_per_op %.4f/%.4f)\n",
-                   p.allocs_per_op, p2.allocs_per_op);
-      return 1;
-    }
-    // Linear-scaling check: doubling the schedule must not add per-request heap allocs.
-    if (p2.heap_allocs > p.heap_allocs + (p2.requests - p.requests) / 20) {
-      std::fprintf(stderr,
-                   "FAIL: heap allocs scale with request count (%llu -> %llu)\n",
-                   static_cast<unsigned long long>(p.heap_allocs),
-                   static_cast<unsigned long long>(p2.heap_allocs));
-      return 1;
-    }
-    return 0;
+    // Two request counts: steady-state heap allocs must not grow with the schedule.
+    DepthRows p = RunDepthPoint(/*server_cores=*/1, /*depth=*/8, /*total_requests=*/256);
+    DepthRows p2 = RunDepthPoint(/*server_cores=*/1, /*depth=*/8, /*total_requests=*/512);
+    EmitRows("BENCH_tx_batching.json", "memcached_1core_smoke", {p.tx});
+    EmitRows("BENCH_alloc_pool.json", "memcached_1core_smoke", {p.alloc, p2.alloc});
+    return p.requests != 0 && p2.requests != 0 ? 0 : 1;
   }
   if (!sweep_only) {
     RunFigure("Figure 5", /*server_cores=*/1);

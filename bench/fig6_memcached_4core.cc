@@ -3,7 +3,7 @@
 // our OSv model runs single-queue, so including it shows that same degradation.
 //
 // Also emits the TX-batching depth sweep as the "memcached_4core" section of
-// BENCH_tx_batching.json (see fig5 for modes).
+// BENCH_tx_batching.json and BENCH_alloc_pool.json (--sweep-only: just the sweep).
 #include <cstring>
 
 #include "bench/memcached_common.h"

@@ -9,45 +9,28 @@
 // showed for application traffic. Because it rides the pooled IOBuf datapath, steady-state
 // RPCs cost no mallocs: allocs/op ~ 0.
 //
-// Emits the "dist_rpc" section of BENCH_dist_rpc.json.
-//
-// Modes:
-//   (none)    full sweep {1, 8, 32}
-//   --smoke   one depth-32 point; exits nonzero when the hybrid datapath degrades
-//             (allocs_per_op > 0.1, pool hit rate 0, or segments_per_op >= 0.5 — i.e.
-//             corking or the pool silently disabled for the dist path)
+// Emits the "dist_rpc" section of BENCH_dist_rpc.json (with --smoke, the one depth-32 point
+// into "dist_rpc_smoke"); tools/validate_bench_json.py validate_dist_rpc gates both.
 #include <unistd.h>
 
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/cluster_bench.h"
 #include "src/dist/file_system.h"
-#include "src/sim/testbed.h"
 
 namespace ebbrt {
 namespace bench {
 namespace {
 
-constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 2);
+constexpr Ipv4Addr kHostedIp = Ipv4Addr::Of(10, 0, 0, 2);
 constexpr Ipv4Addr kNativeIp = Ipv4Addr::Of(10, 0, 0, 3);
 
-struct RpcPoint {
-  std::size_t pipeline = 0;
-  std::size_t requests = 0;  // measured (post-warmup) RPCs
-  double rpcs_per_sec = 0;
-  std::uint64_t tx_data_segments = 0;  // both directions, measured window
-  double segments_per_op = 0;
-  std::uint64_t heap_allocs = 0;
-  double allocs_per_op = 0;
-  double pool_hit_rate = 0;
-  std::uint64_t virtual_ns = 0;  // measured window
-};
-
-RpcPoint RunRpcPoint(std::size_t depth, std::size_t total_requests) {
+// One depth point; `total_requests` measured RPCs after the warmup.
+Row RunRpcPoint(std::size_t depth, std::size_t total_requests, bool* completed) {
   sim::Testbed bed;
-  sim::TestbedNode frontend = bed.AddNode("frontend", 1, kFrontendIp,
+  sim::TestbedNode frontend = bed.AddNode("frontend", 1, kHostedIp,
                                           sim::HypervisorModel::Native(),
                                           RuntimeKind::kHosted);
   sim::TestbedNode native = bed.AddNode("native", 1, kNativeIp);
@@ -65,11 +48,6 @@ RpcPoint RunRpcPoint(std::size_t depth, std::size_t total_requests) {
     std::size_t warmup = 0;          // RPCs before the measured window opens
     std::size_t total = 0;           // measured RPCs
     std::size_t issued = 0;
-    bool marked = false;
-    std::uint64_t t_start = 0;
-    std::uint64_t t_end = 0;
-    std::uint64_t seg_mark = 0;      // both nodes' data segments at the mark
-    std::uint64_t seg_end = 0;
     bool done = false;
     std::function<void()> round;
   };
@@ -78,18 +56,15 @@ RpcPoint RunRpcPoint(std::size_t depth, std::size_t total_requests) {
   state->warmup = 2 * depth;  // fills the connection, pool, and name/file state
   state->total = total_requests;
 
-  auto both_data_segments = [&frontend, &native] {
-    return frontend.net->stats().tcp_tx_data_segments.load() +
-           native.net->stats().tcp_tx_data_segments.load();
-  };
+  Window window(bed, {frontend, native});
 
   // The closure stored inside State captures only a weak_ptr to it (RunRpcPoint's `state`
   // holds the strong reference through the run) — a self-owning cycle would leak the State
   // and dangle its [&] captures past this frame.
   std::weak_ptr<State> weak_state = state;
   native.Spawn(0, [&, state] {
-    state->fs = &dist::FileSystem::For(*native.runtime, kFrontendIp);
-    state->ids = &dist::GlobalIdMap::For(*native.runtime, kFrontendIp);
+    state->fs = &dist::FileSystem::For(*native.runtime, kHostedIp);
+    state->ids = &dist::GlobalIdMap::For(*native.runtime, kHostedIp);
     state->round = [&, weak_state] {
       auto state = weak_state.lock();
       if (state == nullptr) {
@@ -109,21 +84,16 @@ RpcPoint RunRpcPoint(std::size_t depth, std::size_t total_requests) {
       state->issued += state->depth;
       WhenAll(std::move(round)).Then([&, state](Future<void> f) {
         f.Get();
-        if (!state->marked && state->issued >= state->warmup) {
-          // Steady state: snapshot the allocation counters and the segment/time baselines
-          // so the reported costs exclude dial/warmup work.
-          native.net->stats().MarkAllocBaseline();
-          state->seg_mark = both_data_segments();
-          state->t_start = bed.world().Now();
-          state->marked = true;
+        if (!window.marked() && state->issued >= state->warmup) {
+          // Steady state: the reported costs exclude dial/warmup work.
+          window.Mark();
           state->issued = 0;
         }
-        if (!state->marked || state->issued < state->total) {
+        if (!window.marked() || state->issued < state->total) {
           state->round();
           return;
         }
-        state->t_end = bed.world().Now();
-        state->seg_end = both_data_segments();
+        window.Close();
         state->done = true;
       });
     };
@@ -141,68 +111,17 @@ RpcPoint RunRpcPoint(std::size_t depth, std::size_t total_requests) {
 
   bed.world().Run();
 
-  RpcPoint point;
-  point.pipeline = depth;
-  if (!state->done) {
-    return point;  // leaves requests == 0: visible failure in the table and the smoke gate
-  }
-  point.requests = state->total;
-  point.virtual_ns = state->t_end - state->t_start;
-  point.rpcs_per_sec = point.virtual_ns != 0
-                           ? static_cast<double>(point.requests) * 1e9 /
-                                 static_cast<double>(point.virtual_ns)
-                           : 0.0;
-  point.tx_data_segments = state->seg_end - state->seg_mark;
-  point.segments_per_op =
-      static_cast<double>(point.tx_data_segments) / static_cast<double>(point.requests);
-  const NetworkManager::Stats& stats = native.net->stats();
-  point.heap_allocs = stats.heap_allocs_since_mark();
-  point.allocs_per_op = stats.allocs_per_op(point.requests);
-  point.pool_hit_rate = stats.pool_hit_rate_since_mark();
-  return point;
-}
-
-std::string RpcPointsJson(const std::vector<RpcPoint>& points) {
-  std::string out = "[";
-  char buf[320];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const RpcPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"pipeline\": %zu, \"requests\": %zu, \"rpcs_per_sec\": %.0f, "
-                  "\"tx_data_segments\": %llu, \"segments_per_op\": %.3f, "
-                  "\"heap_allocs\": %llu, \"allocs_per_op\": %.4f, "
-                  "\"pool_hit_rate\": %.4f, \"virtual_ns\": %llu}",
-                  i == 0 ? "" : ", ", p.pipeline, p.requests, p.rpcs_per_sec,
-                  static_cast<unsigned long long>(p.tx_data_segments), p.segments_per_op,
-                  static_cast<unsigned long long>(p.heap_allocs), p.allocs_per_op,
-                  p.pool_hit_rate, static_cast<unsigned long long>(p.virtual_ns));
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-int GateRpcPoint(const RpcPoint& p) {
-  if (p.requests == 0) {
-    std::fprintf(stderr, "FAIL: dist RPC schedule did not complete\n");
-    return 1;
-  }
-  if (p.allocs_per_op > 0.1) {
-    std::fprintf(stderr, "FAIL: dist RPC datapath mallocs (allocs_per_op %.4f > 0.1)\n",
-                 p.allocs_per_op);
-    return 1;
-  }
-  if (p.pool_hit_rate == 0.0) {
-    std::fprintf(stderr, "FAIL: buffer pool silently disabled on the dist path\n");
-    return 1;
-  }
-  if (p.pipeline >= 32 && p.segments_per_op >= 0.5) {
-    std::fprintf(stderr,
-                 "FAIL: pipelined RPCs not batching (segments_per_op %.3f >= 0.5)\n",
-                 p.segments_per_op);
-    return 1;
-  }
-  return 0;
+  *completed = *completed && state->done;
+  std::size_t requests = state->done ? state->total : 0;
+  return {{"pipeline", depth},
+          {"requests", requests},
+          {"rpcs_per_sec", window.ops_per_sec(requests), 0},
+          {"tx_data_segments", window.delta.tx_data_segments},
+          {"segments_per_op", PerOp(window.delta.tx_data_segments, requests), 3},
+          {"heap_allocs", window.delta.heap_allocs},
+          {"allocs_per_op", PerOp(window.delta.heap_allocs, requests), 4},
+          {"pool_hit_rate", window.pool_hit_rate(), 4},
+          {"virtual_ns", window.delta.virtual_ns}};
 }
 
 }  // namespace
@@ -212,30 +131,16 @@ int GateRpcPoint(const RpcPoint& p) {
 int main(int argc, char** argv) {
   using namespace ebbrt::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  bool completed = true;
+  std::vector<Row> rows;
   if (smoke) {
-    RpcPoint p = RunRpcPoint(/*depth=*/32, /*total_requests=*/256);
-    std::printf("smoke: pipeline=32 requests=%zu rpcs_per_sec=%.0f segments_per_op=%.3f"
-                " allocs_per_op=%.4f pool_hit_rate=%.4f\n",
-                p.requests, p.rpcs_per_sec, p.segments_per_op, p.allocs_per_op,
-                p.pool_hit_rate);
-    WriteJsonSection("BENCH_dist_rpc.json", "dist_rpc_smoke", RpcPointsJson({p}));
-    return GateRpcPoint(p);
+    rows.push_back(RunRpcPoint(/*depth=*/32, /*total_requests=*/256, &completed));
+  } else {
+    for (std::size_t depth : {1, 8, 32}) {
+      rows.push_back(RunRpcPoint(depth, /*total_requests=*/512, &completed));
+    }
   }
   std::printf("# dist RPC depth sweep (GlobalIdMap Get + FileSystem ReadFile, closed loop)\n");
-  std::printf("%-10s %10s %14s %18s %16s %14s %14s\n", "pipeline", "requests",
-              "rpcs_per_sec", "tx_data_segments", "segments_per_op", "allocs_per_op",
-              "pool_hit_rate");
-  std::vector<RpcPoint> points;
-  int failures = 0;
-  for (std::size_t depth : {std::size_t{1}, std::size_t{8}, std::size_t{32}}) {
-    RpcPoint p = RunRpcPoint(depth, /*total_requests=*/512);
-    std::printf("%-10zu %10zu %14.0f %18llu %16.3f %14.4f %14.4f\n", p.pipeline, p.requests,
-                p.rpcs_per_sec, static_cast<unsigned long long>(p.tx_data_segments),
-                p.segments_per_op, p.allocs_per_op, p.pool_hit_rate);
-    failures += GateRpcPoint(p);
-    points.push_back(p);
-  }
-  WriteJsonSection("BENCH_dist_rpc.json", "dist_rpc", RpcPointsJson(points));
-  std::printf("# wrote section \"dist_rpc\" to BENCH_dist_rpc.json\n");
-  return failures == 0 ? 0 : 1;
+  EmitRows("BENCH_dist_rpc.json", smoke ? "dist_rpc_smoke" : "dist_rpc", rows);
+  return completed ? 0 : 1;
 }

@@ -1,4 +1,5 @@
-// Shared harness for the memcached latency-vs-throughput figures (5 and 6).
+// Shared harness for the memcached latency-vs-throughput figures (5 and 6), and the
+// TX-batching/alloc-pool depth sweeps that fig5, fig6 and tab2 contribute to.
 //
 // Server variants reproduce the paper's four lines: EbbRT (in a KVM guest), Linux in a KVM
 // guest, Linux native (no hypervisor costs), and OSv (library OS with the Linux-ABI socket
@@ -9,10 +10,11 @@
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/cluster_bench.h"
 #include "src/apps/loadgen/memcached_loadgen.h"
 #include "src/apps/memcached/server.h"
 #include "src/sim/testbed.h"
@@ -116,15 +118,61 @@ inline Point RunPoint(ServerVariant variant, std::size_t server_cores, double ta
   return point;
 }
 
-// --- TX-batching depth sweep (BENCH_tx_batching.json) -----------------------------------------
+// --- TX-batching depth sweep (BENCH_tx_batching.json + BENCH_alloc_pool.json) --------------
 //
-// The segments-per-op story: a pipelined burst client issues the same GET schedule at
-// different depths against the EbbRT server; event-scoped corking turns a depth-N burst's N
-// response segments into ceil(bytes/MSS). Reported per depth from the server's own
-// NetworkManager stats.
+// The segments-per-op story: a pipelined client issues the same GET schedule at different
+// depths; event-scoped corking turns a depth-N burst's N response segments into
+// ceil(bytes/MSS). fig5, fig6 and tab2 each contribute one section to both artifacts.
 
-inline DepthPoint RunDepthPoint(std::size_t server_cores, std::size_t depth,
-                                std::size_t total_requests) {
+// One depth point as its two records: the server's TX counters over the whole run (the
+// segments story) and mem::stats() over the steady-state window (the allocation story).
+struct DepthRows {
+  std::size_t requests = 0;  // 0 when the schedule did not complete
+  Row tx;
+  Row alloc;
+};
+
+inline DepthRows DepthPointRows(const NetworkManager::Stats& stats, const Window& window,
+                                std::size_t pipeline, std::size_t requests,
+                                std::uint64_t virtual_ns) {
+  std::uint64_t segments = stats.tcp_tx_data_segments.load();
+  const Window::Counters& d = window.delta;
+  return {requests,
+          {{"pipeline", pipeline},
+           {"requests", requests},
+           {"tx_data_segments", segments},
+           {"sends_coalesced", stats.sends_coalesced.load()},
+           {"bytes_per_segment", stats.bytes_per_segment(), 1},
+           {"segments_per_op", PerOp(segments, requests), 3},
+           {"virtual_ns", virtual_ns}},
+          {{"pipeline", pipeline},
+           {"requests", requests},
+           {"iobuf_allocs", d.iobuf_allocs},
+           {"heap_allocs", d.heap_allocs},
+           {"pool_hits", d.pool_hits},
+           {"pool_misses", d.pool_misses},
+           {"allocs_per_op", PerOp(d.heap_allocs, requests), 4},
+           {"pool_hit_rate", window.pool_hit_rate(), 4}}};
+}
+
+// Runs `run_point` per depth and writes section `section` of both artifacts.
+inline void EmitDepthSweep(const char* section, const std::vector<std::size_t>& depths,
+                           const std::function<DepthRows(std::size_t)>& run_point) {
+  std::vector<Row> tx;
+  std::vector<Row> alloc;
+  for (std::size_t depth : depths) {
+    DepthRows rows = run_point(depth);
+    tx.push_back(rows.tx);
+    alloc.push_back(rows.alloc);
+  }
+  std::printf("# TX-batching depth sweep (%s)\n", section);
+  EmitRows("BENCH_tx_batching.json", section, tx);
+  EmitRows("BENCH_alloc_pool.json", section, alloc);
+}
+
+// The burst client against the EbbRT memcached server.
+inline DepthRows RunDepthPoint(std::size_t server_cores, std::size_t depth,
+                               std::size_t total_requests) {
   sim::Testbed bed;
   sim::TestbedNode server =
       bed.AddNode("server", server_cores, Ipv4Addr::Of(10, 0, 0, 2));
@@ -140,10 +188,10 @@ inline DepthPoint RunDepthPoint(std::size_t server_cores, std::size_t depth,
   config.key_space = 64;
   config.value_size = 100;
   config.connections = server_cores;
-  // Steady state begins when the preload completes: snapshot the allocation counters there,
-  // so the committed allocs-per-op excludes one-time pool/slab warmup carving.
-  NetworkManager::Stats& stats = server.net->stats();
-  config.on_steady = [&stats] { stats.MarkAllocBaseline(); };
+  // Steady state begins when the preload completes: the window opens there, so the
+  // allocation columns exclude one-time pool/slab warmup carving.
+  Window window(bed);
+  config.on_steady = [&window] { window.Mark(); };
   std::size_t responses = 0;
   bool done = false;
   loadgen::MemcachedBurstClient::Run(client, Ipv4Addr::Of(10, 0, 0, 2), 11211, config)
@@ -152,12 +200,11 @@ inline DepthPoint RunDepthPoint(std::size_t server_cores, std::size_t depth,
         done = true;
       });
   bed.world().Run();
-  return FillDepthPoint(server.net->stats(), depth, done ? responses : 0,
+  window.Close();
+  return DepthPointRows(server.net->stats(), window, depth, done ? responses : 0,
                         bed.world().Now());
 }
 
-// Runs the sweep, prints it, and contributes a section to BENCH_tx_batching.json and
-// BENCH_alloc_pool.json.
 inline void EmitTxBatchingSweep(const char* section, std::size_t server_cores,
                                 const std::vector<std::size_t>& depths,
                                 std::size_t total_requests) {

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/memcached_common.h"
 #include "src/apps/http/http_server.h"
 #include "src/apps/loadgen/http_loadgen.h"
 #include "src/sim/testbed.h"
@@ -20,13 +20,13 @@
 namespace ebbrt {
 namespace {
 
-struct Row {
+struct Latency {
   double mean_us;
   double p99_us;
   double rps;
 };
 
-Row RunVariant(bool ebbrt_server) {
+Latency RunVariant(bool ebbrt_server) {
   sim::Testbed bed;
   sim::TestbedNode server = bed.AddNode("server", 1, Ipv4Addr::Of(10, 0, 0, 2));
   sim::TestbedNode client = bed.AddNode("client", 2, Ipv4Addr::Of(10, 0, 0, 3),
@@ -64,7 +64,7 @@ Row RunVariant(bool ebbrt_server) {
 // Pipelined GET bursts against the uv-layer (node-style) EbbRT server: depth-N rounds sent
 // as one chain; the auto-corked server answers each round in one chain.
 
-bench::DepthPoint RunWebDepthPoint(std::size_t depth) {
+bench::DepthRows RunWebDepthPoint(std::size_t depth) {
   sim::Testbed bed;
   sim::TestbedNode server = bed.AddNode("server", 1, Ipv4Addr::Of(10, 0, 0, 2));
   sim::TestbedNode client = bed.AddNode("client", 1, Ipv4Addr::Of(10, 0, 0, 3),
@@ -83,19 +83,20 @@ bench::DepthPoint RunWebDepthPoint(std::size_t depth) {
     f.Get();
     done = true;
   });
-  // Steady-state allocation baseline, matching fig5's end-of-preload mark: run through the
-  // warmup window first so one-time pool/slab carving is excluded from the alloc fields
-  // (the request denominator stays the server's total, the same approximation
-  // segments_per_op makes).
+  // The steady-state window opens after the warmup, matching fig5's end-of-preload mark, so
+  // one-time pool/slab carving is excluded from the alloc columns (the request denominator
+  // stays the server's total, the same approximation segments_per_op makes).
+  bench::Window window(bed);
   bed.world().RunUntil(bed.world().Now() + config.warmup_ns);
-  server.net->stats().MarkAllocBaseline();
+  window.Mark();
   std::uint64_t horizon = 2ull * 1000 * 1000 * 1000;
   while (!done && bed.world().Now() < horizon) {
     if (bed.world().RunUntil(bed.world().Now() + 50'000'000)) {
       break;
     }
   }
-  return bench::FillDepthPoint(server.net->stats(), depth,
+  window.Close();
+  return bench::DepthPointRows(server.net->stats(), window, depth,
                                srv != nullptr ? srv->requests() : 0, bed.world().Now());
 }
 
@@ -116,8 +117,8 @@ int main(int argc, char** argv) {
   std::printf("# Table 2 reproduction: webserver GET -> 148B static response, moderate"
               " load\n");
   std::printf("# paper: EbbRT 90.54us mean / 123us 99th; Linux 112.83us mean / 199us 99th\n");
-  Row ebbrt_row = RunVariant(true);
-  Row linux_row = RunVariant(false);
+  Latency ebbrt_row = RunVariant(true);
+  Latency linux_row = RunVariant(false);
   std::printf("%-8s %12s %16s %12s\n", "system", "mean(us)", "99th-pct(us)", "rps");
   std::printf("%-8s %12.2f %16.2f %12.0f\n", "EbbRT", ebbrt_row.mean_us, ebbrt_row.p99_us,
               ebbrt_row.rps);

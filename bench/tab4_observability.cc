@@ -2,56 +2,30 @@
 // workload run at each obs::Level, with the plane's own overhead measured by the plane's
 // own counters.
 //
-// Topology per point (fig11's): a hosted frontend serving GlobalIdMap, four single-core
-// shard machines, and one native client driving a closed loop of depth-32 GET rounds over a
-// preloaded key space through a ShardRouter. Every machine's ObsRoot is dialed to the same
-// level before the workload:
+// Scenario (cluster_bench.h topology, 4 shards): each round is 32 striped GETs through a
+// static router, with every machine's ObsRoot dialed to the point's level first:
 //   kOff      no recording anywhere (the baseline the overhead gate compares against)
 //   kMetrics  event-plane histograms + registry counters record on every event
 //   kTracing  additionally: trace ids ride every RPC frame, client/server/local span
 //             records are written per hop (the "always on" default)
 //
-// What the gates assert:
-//   * the plane is cheap: kTracing ops/s within 3% of kOff (the RpcHeader carries the trace
-//     fields at every level, so the wire cost is constant — what the gate catches is the
-//     plane putting modeled work, segments, or stalls on the datapath).
-//   * the plane is allocation-free: steady-state allocs/op < 0.05 WITH tracing on (span
-//     records land in preallocated per-core rings; histogram recording is an array index).
-//   * the plane is lock-free: zero Messenger control locks across every machine during the
-//     measured window at every level.
-//   * the plane actually records: spans flow at kTracing (client+local on the client,
-//     server spans on the shards), and NOT below it.
+// What it shows: tracing's ops/s against kOff (the RpcHeader carries the trace fields at
+// every level, so the wire cost is constant), zero steady-state mallocs and zero Messenger
+// control locks at every level, and spans recorded at kTracing only.
 //
-// Emits the "observability" (or "observability_smoke") section of BENCH_observability.json.
-//
-// Modes:
-//   (none)    full run (longer schedule)
-//   --smoke   shorter schedule; exits nonzero when any gate fails
+// Emits the "observability" section of BENCH_observability.json (40 measured rounds; with
+// --smoke, 10 rounds into "observability_smoke"); tools/validate_bench_json.py
+// validate_observability gates both.
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <string>
-#include <vector>
 
-#include "bench/bench_json.h"
-#include "src/apps/memcached/shard.h"
-#include "src/obs/metrics.h"
-#include "src/sim/testbed.h"
+#include "bench/cluster_bench.h"
+#include "src/obs/histogram.h"
 
 namespace ebbrt {
 namespace bench {
 namespace {
 
-constexpr Ipv4Addr kFrontendIp = Ipv4Addr::Of(10, 0, 0, 10);
-constexpr Ipv4Addr kClientIp = Ipv4Addr::Of(10, 0, 0, 3);
-constexpr std::size_t kNumShards = 4;
 constexpr std::size_t kDepth = 32;
-constexpr std::size_t kKeySpace = 256;
-constexpr std::size_t kValueBytes = 64;
-// Modeled per-request backend service time (same knob as fig9/fig11).
-constexpr std::uint64_t kServiceNs = 3000;
-
-std::string BenchKey(std::size_t index) { return "user:" + std::to_string(index); }
 
 const char* LevelName(obs::Level level) {
   switch (level) {
@@ -62,276 +36,44 @@ const char* LevelName(obs::Level level) {
   return "?";
 }
 
-struct ObsPoint {
-  const char* level = "?";
-  std::size_t ops = 0;           // measured (post-warmup) GETs completed
-  std::uint64_t virtual_ns = 0;  // measured window
-  double ops_per_sec = 0;
-  obs::Histogram::Snapshot latency;  // per-GET latency (shared p50/p99/p999 columns)
-  std::uint64_t heap_allocs = 0;     // client, since the steady-state mark
-  double allocs_per_op = 0;
-  std::uint64_t control_locks = 0;   // all machines, measured window
-  std::uint64_t spans = 0;           // span records written, all machines, measured window
-  bool done = false;
-};
-
-// Spans ever recorded across every core of every machine (relaxed counters; the ring may
-// wrap but the count doesn't).
-std::uint64_t AllSpans(const std::vector<Runtime*>& runtimes) {
-  std::uint64_t total = 0;
-  for (Runtime* runtime : runtimes) {
-    obs::ObsRoot* root = obs::ObsRoot::TryFor(*runtime);
-    if (root == nullptr) {
-      continue;
-    }
-    for (std::size_t core = 0; core < root->num_cores(); ++core) {
-      if (obs::MetricRegistry* rep = root->TryRep(core)) {
-        total += rep->spans_recorded();
-      }
-    }
-  }
-  return total;
-}
-
-ObsPoint RunObsPoint(obs::Level level, std::size_t measured_rounds) {
-  sim::Testbed bed;
-  sim::TestbedNode frontend = bed.AddNode("frontend", 1, kFrontendIp,
-                                          sim::HypervisorModel::Native(),
-                                          RuntimeKind::kHosted);
-  std::vector<sim::TestbedNode> shard_nodes;
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    shard_nodes.push_back(bed.AddNode("shard" + std::to_string(i), 1,
-                                      Ipv4Addr::Of(10, 0, 0, 20 + static_cast<unsigned>(i))));
-  }
-  sim::TestbedNode client = bed.AddNode("client", 1, kClientIp,
-                                        sim::HypervisorModel::Native());
-
-  frontend.Spawn(0, [&frontend, level] {
-    obs::ObsRoot::For(*frontend.runtime).SetLevel(level);
-    dist::GlobalIdMap::ServeOn(*frontend.runtime);
-  });
-  for (std::size_t i = 0; i < kNumShards; ++i) {
-    sim::TestbedNode node = shard_nodes[i];
-    node.Spawn(0, [&bed, node, i, level] {
-      // Force the plane into existence on the shard (RpcServer records server spans only
-      // when it already exists), then dial it to the point's level.
-      obs::ObsRoot::For(*node.runtime).SetLevel(level);
-      memcached::ShardService::Config config;
-      config.on_request = [&bed] { bed.world().Charge(kServiceNs); };
-      node.runtime->Adopt(
-          std::make_shared<memcached::ShardService>(*node.runtime, i, config));
-      memcached::AnnounceShard(*node.runtime, kFrontendIp, i, node.iface->addr())
-          .Then([](Future<void> f) { f.Get(); });
-    });
-  }
-
-  struct State {
-    std::unique_ptr<memcached::ShardRouter> router;
-    obs::Histogram latency;
-    std::size_t rounds_left = 0;
-    std::size_t issued = 0;
-    std::size_t preloaded = 0;
-    std::size_t ops = 0;
-    bool marked = false;
-    std::uint64_t t_start = 0;
-    std::uint64_t t_end = 0;
-    std::uint64_t lock_mark = 0;
-    std::uint64_t lock_end = 0;
-    std::uint64_t span_mark = 0;
-    std::uint64_t span_end = 0;
-    bool done = false;
-    std::function<void()> preload_round;
-    std::function<void()> round;
-  };
-  auto state = std::make_shared<State>();
-  state->rounds_left = 2 + measured_rounds;  // 2 warmup rounds, then the measured window
-
-  std::vector<Runtime*> runtimes;
-  runtimes.push_back(client.runtime);
-  runtimes.push_back(frontend.runtime);
-  for (const sim::TestbedNode& node : shard_nodes) {
-    runtimes.push_back(node.runtime);
-  }
-  auto all_control_locks = [runtimes] {
-    std::uint64_t total = 0;
-    for (Runtime* runtime : runtimes) {
-      total += dist::Messenger::For(*runtime).stats().control_locks.load();
-    }
-    return total;
-  };
-
-  std::weak_ptr<State> weak_state = state;
-  constexpr std::size_t warmup_rounds = 2;
-  client.Spawn(0, [&, state, level] {
-    obs::ObsRoot::For(*client.runtime).SetLevel(level);
-    memcached::DiscoverShards(*client.runtime, kFrontendIp, kNumShards)
-        .Then([&, state](Future<std::vector<memcached::ShardEndpoint>> f) {
-          state->router =
-              std::make_unique<memcached::ShardRouter>(*client.runtime, f.Get());
-
-          state->preload_round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
-            std::size_t n = std::min<std::size_t>(32, kKeySpace - state->preloaded);
-            std::vector<Future<void>> round;
-            round.reserve(n);
-            for (std::size_t i = 0; i < n; ++i) {
-              round.push_back(state->router->Set(BenchKey(state->preloaded + i),
-                                                 std::string(kValueBytes, 'v')));
-            }
-            state->preloaded += n;
-            WhenAll(std::move(round)).Then([&, state](Future<void> wf) {
-              wf.Get();
-              if (state->preloaded < kKeySpace) {
-                state->preload_round();
-              } else {
-                state->round();
-              }
-            });
-          };
-
-          state->round = [&, weak_state] {
-            auto state = weak_state.lock();
-            if (state == nullptr) {
-              return;
-            }
+Row RunObsPoint(obs::Level level, std::size_t measured_rounds, bool* completed) {
+  obs::Histogram latency;  // per-GET latency in the measured window
+  std::uint64_t ops = 0;
+  Cluster cluster({.obs_level = level});
+  bool done = cluster.Run({
+      .ops_per_round = kDepth,
+      .issue =
+          [&cluster, &latency, &ops](std::size_t first) {
             std::vector<Future<void>> round;
             round.reserve(kDepth);
             for (std::size_t i = 0; i < kDepth; ++i) {
-              std::uint64_t t0 = bed.world().Now();
+              std::uint64_t t0 = cluster.bed.world().Now();
               round.push_back(
-                  state->router->Get(BenchKey((state->issued + i) % kKeySpace))
-                      .Then([&, state, t0](Future<memcached::ShardRouter::GetResult> gf) {
-                        gf.Get();
-                        if (state->marked) {
-                          state->latency.Record(bed.world().Now() - t0);
-                          state->ops++;
+                  cluster.router->Get(BenchKey((first + i) % kKeySpace))
+                      .Then([&cluster, &latency, &ops,
+                             t0](Future<memcached::ShardRouter::GetResult> f) {
+                        f.Get();
+                        if (cluster.window.marked()) {
+                          latency.Record(cluster.bed.world().Now() - t0);
+                          ops++;
                         }
                       }));
             }
-            state->issued += kDepth;
-            WhenAll(std::move(round)).Then([&, state](Future<void> wf) {
-              wf.Get();
-              if (!state->marked && state->issued >= warmup_rounds * kDepth) {
-                // Steady state: snapshot every baseline the gates compare against.
-                client.net->stats().MarkAllocBaseline();
-                state->lock_mark = all_control_locks();
-                state->span_mark = AllSpans(runtimes);
-                state->t_start = bed.world().Now();
-                state->marked = true;
-              }
-              if (--state->rounds_left > 0) {
-                state->round();
-                return;
-              }
-              state->t_end = bed.world().Now();
-              state->lock_end = all_control_locks();
-              state->span_end = AllSpans(runtimes);
-              state->done = true;
-            });
-          };
-
-          state->preload_round();
-        });
+            return WhenAll(std::move(round));
+          },
+      .more = Rounds(measured_rounds),
   });
-
-  bed.world().Run();
-
-  ObsPoint point;
-  point.level = LevelName(level);
-  if (!state->done) {
-    return point;  // done == false: visible failure in the gates
-  }
-  point.done = true;
-  point.ops = state->ops;
-  point.virtual_ns = state->t_end - state->t_start;
-  point.ops_per_sec = point.virtual_ns != 0
-                          ? static_cast<double>(point.ops) * 1e9 /
-                                static_cast<double>(point.virtual_ns)
-                          : 0.0;
-  point.latency = state->latency.TakeSnapshot();
-  const NetworkManager::Stats& stats = client.net->stats();
-  point.heap_allocs = stats.heap_allocs_since_mark();
-  point.allocs_per_op = stats.allocs_per_op(point.ops);
-  point.control_locks = state->lock_end - state->lock_mark;
-  point.spans = state->span_end - state->span_mark;
-  return point;
-}
-
-std::string ObsPointsJson(const std::vector<ObsPoint>& points) {
-  std::string out = "[";
-  char buf[300];
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const ObsPoint& p = points[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"level\": \"%s\", \"ops\": %zu, \"ops_per_sec\": %.0f, ",
-                  i == 0 ? "" : ", ", p.level, p.ops, p.ops_per_sec);
-    out += buf;
-    out += HistogramColumnsJson(p.latency);
-    std::snprintf(buf, sizeof(buf),
-                  ", \"heap_allocs\": %llu, \"allocs_per_op\": %.4f, "
-                  "\"control_locks\": %llu, \"spans\": %llu, \"virtual_ns\": %llu}",
-                  static_cast<unsigned long long>(p.heap_allocs), p.allocs_per_op,
-                  static_cast<unsigned long long>(p.control_locks),
-                  static_cast<unsigned long long>(p.spans),
-                  static_cast<unsigned long long>(p.virtual_ns));
-    out += buf;
-  }
-  out += "]";
-  return out;
-}
-
-int GatePoints(const ObsPoint& off, const ObsPoint& metrics, const ObsPoint& tracing) {
-  int failures = 0;
-  for (const ObsPoint* p : {&off, &metrics, &tracing}) {
-    if (!p->done || p->ops == 0) {
-      std::fprintf(stderr, "FAIL: %s schedule did not complete\n", p->level);
-      return 1;
-    }
-    if (p->control_locks != 0) {
-      std::fprintf(stderr, "FAIL: %llu Messenger control locks at level %s\n",
-                   static_cast<unsigned long long>(p->control_locks), p->level);
-      failures++;
-    }
-  }
-  // The headline: full tracing within 3% of the dark baseline. The trace fields ride the
-  // RpcHeader at every level, so the wire cost is identical — a regression here means the
-  // plane put modeled work or extra round trips on the datapath.
-  if (tracing.ops_per_sec < 0.97 * off.ops_per_sec) {
-    std::fprintf(stderr, "FAIL: tracing ops/s %.0f < 97%% of off ops/s %.0f\n",
-                 tracing.ops_per_sec, off.ops_per_sec);
-    failures++;
-  }
-  if (tracing.allocs_per_op > 0.05) {
-    std::fprintf(stderr, "FAIL: tracing datapath mallocs (allocs_per_op %.4f > 0.05)\n",
-                 tracing.allocs_per_op);
-    failures++;
-  }
-  // The plane must actually record: every measured GET writes at least a local root span, a
-  // client span, and a server span somewhere — and below kTracing, none at all.
-  if (tracing.spans < tracing.ops) {
-    std::fprintf(stderr, "FAIL: only %llu spans for %zu traced ops\n",
-                 static_cast<unsigned long long>(tracing.spans), tracing.ops);
-    failures++;
-  }
-  if (off.spans != 0 || metrics.spans != 0) {
-    std::fprintf(stderr, "FAIL: spans recorded below kTracing (off=%llu metrics=%llu)\n",
-                 static_cast<unsigned long long>(off.spans),
-                 static_cast<unsigned long long>(metrics.spans));
-    failures++;
-  }
-  return failures == 0 ? 0 : 1;
-}
-
-void PrintPoint(const ObsPoint& p) {
-  std::printf("%-10s %8zu %14.0f %10llu %10llu %10llu %14.4f %14llu %10llu\n", p.level,
-              p.ops, p.ops_per_sec, static_cast<unsigned long long>(p.latency.P50()),
-              static_cast<unsigned long long>(p.latency.P99()),
-              static_cast<unsigned long long>(p.latency.P999()), p.allocs_per_op,
-              static_cast<unsigned long long>(p.control_locks),
-              static_cast<unsigned long long>(p.spans));
+  *completed = *completed && done;
+  const Window& w = cluster.window;
+  return Row{{"level", LevelName(level)},
+             {"ops", ops},
+             {"ops_per_sec", w.ops_per_sec(ops), 0}} +
+         LatencyCols(latency.TakeSnapshot()) +
+         Row{{"heap_allocs", w.delta.heap_allocs},
+             {"allocs_per_op", PerOp(w.delta.heap_allocs, ops), 4},
+             {"control_locks", w.delta.control_locks},
+             {"spans", w.delta.spans},
+             {"virtual_ns", w.delta.virtual_ns}};
 }
 
 }  // namespace
@@ -342,25 +84,15 @@ int main(int argc, char** argv) {
   using namespace ebbrt::bench;
   bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   std::size_t rounds = smoke ? 10 : 40;
+  bool completed = true;
+  std::vector<Row> rows;
+  for (ebbrt::obs::Level level : {ebbrt::obs::Level::kOff, ebbrt::obs::Level::kMetrics,
+                                  ebbrt::obs::Level::kTracing}) {
+    rows.push_back(RunObsPoint(level, rounds, &completed));
+  }
   std::printf("# telemetry-plane cost: depth-%zu sharded GETs at each obs level "
               "(%zu measured rounds)\n", kDepth, rounds);
-  std::printf("%-10s %8s %14s %10s %10s %10s %14s %14s %10s\n", "level", "ops",
-              "ops_per_sec", "p50_ns", "p99_ns", "p999_ns", "allocs_per_op",
-              "control_locks", "spans");
-  ObsPoint off = RunObsPoint(ebbrt::obs::Level::kOff, rounds);
-  PrintPoint(off);
-  ObsPoint metrics = RunObsPoint(ebbrt::obs::Level::kMetrics, rounds);
-  PrintPoint(metrics);
-  ObsPoint tracing = RunObsPoint(ebbrt::obs::Level::kTracing, rounds);
-  PrintPoint(tracing);
-  if (off.ops_per_sec > 0) {
-    std::printf("# tracing/off ops ratio: %.4f (gate: >= 0.97)\n",
-                tracing.ops_per_sec / off.ops_per_sec);
-  }
-  WriteJsonSection("BENCH_observability.json",
-                   smoke ? "observability_smoke" : "observability",
-                   ObsPointsJson({off, metrics, tracing}));
-  std::printf("# wrote section \"%s\" to BENCH_observability.json\n",
-              smoke ? "observability_smoke" : "observability");
-  return GatePoints(off, metrics, tracing);
+  EmitRows("BENCH_observability.json", smoke ? "observability_smoke" : "observability",
+           rows);
+  return completed ? 0 : 1;
 }

@@ -148,7 +148,7 @@ class MemcachedBurstClient final : public TcpHandler {
     std::size_t value_size = 32;
     std::size_t connections = 1;      // parallel connections (distinct RSS flows)
     // Invoked once, on the client, when the preload phase completes and the measured GET
-    // phase begins — benches snapshot steady-state baselines (MarkAllocBaseline) here.
+    // phase begins — benches open their steady-state measurement window here.
     std::function<void()> on_steady;
   };
 

@@ -85,46 +85,6 @@ void FillIpv4(IOBuf& buf, Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
 
 }  // namespace net_internal
 
-// --- Stats: datapath allocation accounting ------------------------------------------------------
-
-void NetworkManager::Stats::MarkAllocBaseline() {
-  const mem::Stats& m = mem::stats();
-  alloc_mark_heap = m.heap_fallback_allocs.load(std::memory_order_relaxed);
-  alloc_mark_iobuf = m.iobuf_allocs.load(std::memory_order_relaxed);
-  alloc_mark_pool_hits = m.pool_hits.load(std::memory_order_relaxed);
-  alloc_mark_pool_misses = m.pool_misses.load(std::memory_order_relaxed);
-}
-
-std::uint64_t NetworkManager::Stats::heap_allocs_since_mark() const {
-  return mem::stats().heap_fallback_allocs.load(std::memory_order_relaxed) - alloc_mark_heap;
-}
-
-std::uint64_t NetworkManager::Stats::iobuf_allocs_since_mark() const {
-  return mem::stats().iobuf_allocs.load(std::memory_order_relaxed) - alloc_mark_iobuf;
-}
-
-double NetworkManager::Stats::allocs_per_op(std::uint64_t requests) const {
-  if (requests == 0) {
-    return 0.0;
-  }
-  return static_cast<double>(heap_allocs_since_mark()) / static_cast<double>(requests);
-}
-
-std::uint64_t NetworkManager::Stats::pool_hits_since_mark() const {
-  return mem::stats().pool_hits.load(std::memory_order_relaxed) - alloc_mark_pool_hits;
-}
-
-std::uint64_t NetworkManager::Stats::pool_misses_since_mark() const {
-  return mem::stats().pool_misses.load(std::memory_order_relaxed) - alloc_mark_pool_misses;
-}
-
-double NetworkManager::Stats::pool_hit_rate_since_mark() const {
-  std::uint64_t hits = pool_hits_since_mark();
-  std::uint64_t misses = pool_misses_since_mark();
-  return hits + misses == 0 ? 0.0
-                            : static_cast<double>(hits) / static_cast<double>(hits + misses);
-}
-
 // --- NetworkManager ----------------------------------------------------------------------------
 
 NetworkManager& NetworkManager::For(Runtime& runtime) {

@@ -165,24 +165,6 @@ class NetworkManager {
       return static_cast<double>(tcp_tx_payload_bytes.load(std::memory_order_relaxed)) /
              static_cast<double>(segs);
     }
-
-    // --- Datapath allocation accounting (zero-malloc datapath; docs "Buffer lifecycle") --
-    // Snapshot of the process-wide mem::stats() counters taken at the start of a bench's
-    // measured (steady-state) window; the derived metrics report the allocation cost per
-    // request SINCE the mark. allocs_per_op counts actual std::malloc events — the number
-    // the slab/pool datapath collapses to ~0.
-    void MarkAllocBaseline();
-    std::uint64_t heap_allocs_since_mark() const;
-    std::uint64_t iobuf_allocs_since_mark() const;
-    std::uint64_t pool_hits_since_mark() const;
-    std::uint64_t pool_misses_since_mark() const;
-    double allocs_per_op(std::uint64_t requests) const;
-    double pool_hit_rate_since_mark() const;
-
-    std::uint64_t alloc_mark_heap = 0;
-    std::uint64_t alloc_mark_iobuf = 0;
-    std::uint64_t alloc_mark_pool_hits = 0;
-    std::uint64_t alloc_mark_pool_misses = 0;
   };
   Stats& stats() { return stats_; }
 
