@@ -1,7 +1,6 @@
-// The cluster bench harness: the topology, closed loop and measured window that fig9, fig10,
-// fig11 and tab4 share, so each of those files states only its scenario (shard count, round
-// shape, router config, fault plan, obs level). fig8 and the memcached depth sweeps reuse
-// the Window; every bench writes its records through bench_json.h's row emitter.
+// The cluster bench harness: the topology that fig9, fig10, fig11 and tab4 share, driven by
+// window.h's ClosedLoop and measured by its Window, so each of those files states only its
+// scenario (shard count, round shape, router config, fault plan, obs level).
 //
 // Topology: a hosted frontend at 10.0.0.10 serving GlobalIdMap; N single-core shard
 // machines at 10.0.0.20+i, each a ShardService over the RCU KvStore that charges kServiceNs
@@ -23,9 +22,8 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_json.h"
+#include "bench/window.h"
 #include "src/apps/memcached/shard.h"
-#include "src/mem/gp_allocator.h"
 #include "src/obs/metrics.h"
 #include "src/sim/testbed.h"
 
@@ -42,118 +40,6 @@ constexpr std::size_t kValueBytes = 64;
 constexpr std::uint64_t kServiceNs = 3000;
 
 inline std::string BenchKey(std::size_t index) { return "user:" + std::to_string(index); }
-
-// Measured-window deltas. Mark() and Close() sample the process-wide mem::stats() counters
-// and virtual time and, summed over `machines`, TX data segments, Messenger control-lock
-// acquisitions and recorded trace spans, plus the router's per-shard op counts when one is
-// set. Sampling never creates a subsystem.
-class Window {
- public:
-  struct Counters {
-    std::uint64_t heap_allocs = 0;  // std::malloc fallbacks on the IOBuf paths
-    std::uint64_t iobuf_allocs = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t tx_data_segments = 0;
-    std::uint64_t control_locks = 0;
-    std::uint64_t spans = 0;
-    std::uint64_t virtual_ns = 0;
-    std::vector<std::uint64_t> shard_ops;
-  };
-
-  explicit Window(sim::Testbed& bed, std::vector<sim::TestbedNode> machines = {})
-      : bed_(&bed), machines_(std::move(machines)) {}
-
-  void Mark() {
-    start_ = Sample();
-    marked_ = true;
-  }
-  void Close() {
-    Counters end = Sample();
-    delta.heap_allocs = end.heap_allocs - start_.heap_allocs;
-    delta.iobuf_allocs = end.iobuf_allocs - start_.iobuf_allocs;
-    delta.pool_hits = end.pool_hits - start_.pool_hits;
-    delta.pool_misses = end.pool_misses - start_.pool_misses;
-    delta.tx_data_segments = end.tx_data_segments - start_.tx_data_segments;
-    delta.control_locks = end.control_locks - start_.control_locks;
-    delta.spans = end.spans - start_.spans;
-    delta.virtual_ns = end.virtual_ns - start_.virtual_ns;
-    delta.shard_ops = end.shard_ops;
-    for (std::size_t i = 0; i < std::min(end.shard_ops.size(), start_.shard_ops.size()); ++i) {
-      delta.shard_ops[i] -= start_.shard_ops[i];
-    }
-    closed_ = true;
-  }
-  bool marked() const { return marked_; }
-  bool closed() const { return closed_; }
-
-  double pool_hit_rate() const {
-    return PerOp(delta.pool_hits, delta.pool_hits + delta.pool_misses);
-  }
-  double ops_per_sec(std::uint64_t ops) const {
-    return delta.virtual_ns != 0 ? static_cast<double>(ops) * 1e9 /
-                                       static_cast<double>(delta.virtual_ns)
-                                 : 0.0;
-  }
-
-  const memcached::ShardRouter* router = nullptr;
-  Counters delta;
-
- private:
-  Counters Sample() const {
-    const mem::Stats& m = mem::stats();
-    Counters c;
-    c.heap_allocs = m.heap_fallback_allocs.load(std::memory_order_relaxed);
-    c.iobuf_allocs = m.iobuf_allocs.load(std::memory_order_relaxed);
-    c.pool_hits = m.pool_hits.load(std::memory_order_relaxed);
-    c.pool_misses = m.pool_misses.load(std::memory_order_relaxed);
-    c.virtual_ns = bed_->world().Now();
-    for (const sim::TestbedNode& node : machines_) {
-      c.tx_data_segments += node.net->stats().tcp_tx_data_segments.load();
-      if (auto* messenger =
-              node.runtime->TryGetSubsystem<dist::Messenger>(Subsystem::kMessenger)) {
-        c.control_locks += messenger->stats().control_locks.load();
-      }
-      if (obs::ObsRoot* root = obs::ObsRoot::TryFor(*node.runtime)) {
-        for (std::size_t core = 0; core < root->num_cores(); ++core) {
-          if (obs::MetricRegistry* rep = root->TryRep(core)) {
-            c.spans += rep->spans_recorded();
-          }
-        }
-      }
-    }
-    if (router != nullptr) {
-      c.shard_ops = router->per_shard_ops();
-    }
-    return c;
-  }
-
-  sim::Testbed* bed_;
-  std::vector<sim::TestbedNode> machines_;
-  Counters start_;
-  bool marked_ = false;
-  bool closed_ = false;
-};
-
-// A closed loop: each round is issued only after the previous one completed. Two warmup
-// rounds run first and the window is marked when they complete; after each measured round
-// `more` says whether to go on, and the window closes (unless the scenario closed it
-// already) when it says no.
-struct Schedule {
-  std::size_t ops_per_round = 0;
-  // Issues one round whose ops read striped keys BenchKey(k % kKeySpace) from k = `first`;
-  // the future resolves when the whole round has.
-  std::function<Future<void>(std::size_t first)> issue;
-  std::function<bool()> more;
-  // Sweeps restart the stripe at the mark, so op k of every point's window reads key k
-  // whatever its round size; otherwise the stripe runs on from the warmup.
-  bool restripe_at_mark = false;
-};
-
-// `more` for a fixed number of measured rounds.
-inline std::function<bool()> Rounds(std::size_t measured) {
-  return [left = measured]() mutable { return --left > 0; };
-}
 
 // The static single-replica router: no deadlines, no ring watcher.
 inline memcached::ShardRouter::Config StaticRouter() {
@@ -210,9 +96,10 @@ class Cluster {
   }
 
   // Discovers the shards, builds the router, preloads the key space and runs `schedule` to
-  // its end. Returns false when the schedule did not complete.
+  // its end, then lets the world drain. The window's allocation counters run to the end of
+  // the drain. Returns false when the schedule did not complete.
   bool Run(Schedule schedule) {
-    schedule_ = std::move(schedule);
+    loop_ = std::make_unique<ClosedLoop>(window, std::move(schedule));
     client.Spawn(0, [this] {
       SetLevel(client, config_.obs_level);
       memcached::DiscoverShards(*client.runtime, kFrontendIp, shards.size())
@@ -226,12 +113,13 @@ class Cluster {
             }
             router = std::make_unique<memcached::ShardRouter>(*client.runtime,
                                                               std::move(ring), config_.router);
-            window.router = router.get();
+            window.shard_ops = [r = router.get()] { return r->per_shard_ops(); };
             Preload();
           });
     });
     bed.world().Run();
-    return done_;
+    window.CloseAllocs();
+    return loop_->done();
   }
 
   Cluster(const Cluster&) = delete;
@@ -266,43 +154,14 @@ class Cluster {
       if (preloaded_ < kKeySpace) {
         Preload();
       } else {
-        Round();
+        loop_->Start();
       }
-    });
-  }
-
-  void Round() {
-    Future<void> round = schedule_.issue(issued_);
-    issued_ += schedule_.ops_per_round;
-    round.Then([this](Future<void> f) {
-      f.Get();
-      if (!window.marked()) {
-        if (++warmup_rounds_ == 2) {
-          window.Mark();
-          if (schedule_.restripe_at_mark) {
-            issued_ = 0;
-          }
-        }
-        Round();
-        return;
-      }
-      if (schedule_.more()) {
-        Round();
-        return;
-      }
-      if (!window.closed()) {
-        window.Close();
-      }
-      done_ = true;
     });
   }
 
   ClusterConfig config_;
-  Schedule schedule_;
+  std::unique_ptr<ClosedLoop> loop_;
   std::size_t preloaded_ = 0;
-  std::size_t issued_ = 0;
-  std::size_t warmup_rounds_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace bench

@@ -15,7 +15,8 @@
 // What it shows: every key keeps a live replica, so reads never fail (the deadline +
 // failover machinery is why); recovery-phase ops/s returns to the pre-kill level; the
 // failover counters and the ring swap all move; the fault phase's p99 shows the
-// one-deadline spike; and the pre-kill window stays free of mallocs and control locks.
+// one-deadline spike; the pre-kill window takes no control locks; and nothing from the mark
+// to the end of the run (fault, recovery and drain included) mallocs.
 //
 // Emits the "failover" section of BENCH_failover.json (60 pre-kill and 60 recovery rounds;
 // with --smoke, 20 and 20 into "failover_smoke"); tools/validate_bench_json.py
@@ -103,6 +104,8 @@ bool RunFailover(std::size_t pre_kill_rounds, std::size_t recovery_rounds,
       if (--s.rounds_left != 0) {
         return true;
       }
+      // Time and control locks stop here; the allocation counters run on to the end of
+      // Cluster::Run, so the fault and recovery paths stay under the malloc gate.
       cluster.window.Close();
       s.pre_kill.virtual_ns = cluster.window.delta.virtual_ns;
       // Kill the first shard at a round boundary. Pause semantics: its state survives for

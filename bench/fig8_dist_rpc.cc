@@ -17,8 +17,9 @@
 #include <string>
 #include <vector>
 
-#include "bench/cluster_bench.h"
+#include "bench/window.h"
 #include "src/dist/file_system.h"
+#include "src/dist/global_id_map.h"
 
 namespace ebbrt {
 namespace bench {
@@ -41,78 +42,48 @@ Row RunRpcPoint(std::size_t depth, std::size_t total_requests, bool* completed) 
     dist::GlobalIdMap::ServeOn(*frontend.runtime);
   });
 
-  struct State {
-    dist::FileSystem* fs = nullptr;
-    dist::GlobalIdMap* ids = nullptr;
-    std::size_t depth = 0;
-    std::size_t warmup = 0;          // RPCs before the measured window opens
-    std::size_t total = 0;           // measured RPCs
-    std::size_t issued = 0;
-    bool done = false;
-    std::function<void()> round;
-  };
-  auto state = std::make_shared<State>();
-  state->depth = depth;
-  state->warmup = 2 * depth;  // fills the connection, pool, and name/file state
-  state->total = total_requests;
-
   Window window(bed, {frontend, native});
+  dist::FileSystem* fs = nullptr;
+  dist::GlobalIdMap* ids = nullptr;
+  ClosedLoop loop(window, {
+      .ops_per_round = depth,
+      .issue =
+          [&fs, &ids, depth](std::size_t first) {
+            std::vector<Future<void>> round;
+            round.reserve(depth);
+            for (std::size_t i = 0; i < depth; ++i) {
+              if ((first + i) % 2 == 0) {
+                round.push_back(
+                    ids->Get("service/bench").Then([](Future<std::string> f) { f.Get(); }));
+              } else {
+                round.push_back(
+                    fs->ReadFile("blob.bin").Then([](Future<std::string> f) { f.Get(); }));
+              }
+            }
+            return WhenAll(std::move(round));
+          },
+      .more = Rounds(total_requests / depth),
+      .restripe_at_mark = true,
+  });
 
-  // The closure stored inside State captures only a weak_ptr to it (RunRpcPoint's `state`
-  // holds the strong reference through the run) — a self-owning cycle would leak the State
-  // and dangle its [&] captures past this frame.
-  std::weak_ptr<State> weak_state = state;
-  native.Spawn(0, [&, state] {
-    state->fs = &dist::FileSystem::For(*native.runtime, kHostedIp);
-    state->ids = &dist::GlobalIdMap::For(*native.runtime, kHostedIp);
-    state->round = [&, weak_state] {
-      auto state = weak_state.lock();
-      if (state == nullptr) {
-        return;
-      }
-      std::vector<Future<void>> round;
-      round.reserve(state->depth);
-      for (std::size_t i = 0; i < state->depth; ++i) {
-        if ((state->issued + i) % 2 == 0) {
-          round.push_back(state->ids->Get("service/bench").Then(
-              [](Future<std::string> f) { f.Get(); }));
-        } else {
-          round.push_back(state->fs->ReadFile("blob.bin").Then(
-              [](Future<std::string> f) { f.Get(); }));
-        }
-      }
-      state->issued += state->depth;
-      WhenAll(std::move(round)).Then([&, state](Future<void> f) {
-        f.Get();
-        if (!window.marked() && state->issued >= state->warmup) {
-          // Steady state: the reported costs exclude dial/warmup work.
-          window.Mark();
-          state->issued = 0;
-        }
-        if (!window.marked() || state->issued < state->total) {
-          state->round();
-          return;
-        }
-        window.Close();
-        state->done = true;
-      });
-    };
+  native.Spawn(0, [&] {
+    fs = &dist::FileSystem::For(*native.runtime, kHostedIp);
+    ids = &dist::GlobalIdMap::For(*native.runtime, kHostedIp);
     // Seed the name and the file the measured loop reads, then start.
-    state->ids->Set("service/bench", kNativeIp.ToString() + ":0").Then([state](
-                                                                           Future<void> f) {
+    ids->Set("service/bench", kNativeIp.ToString() + ":0").Then([&](Future<void> f) {
       f.Get();
-      return state->fs->WriteFile("blob.bin", std::string(64, 'x'))
-          .Then([state](Future<void> wf) {
-            wf.Get();
-            state->round();
-          });
+      return fs->WriteFile("blob.bin", std::string(64, 'x')).Then([&](Future<void> wf) {
+        wf.Get();
+        loop.Start();
+      });
     });
   });
 
   bed.world().Run();
+  window.CloseAllocs();
 
-  *completed = *completed && state->done;
-  std::size_t requests = state->done ? state->total : 0;
+  *completed = *completed && loop.done();
+  std::size_t requests = loop.done() ? total_requests : 0;
   return {{"pipeline", depth},
           {"requests", requests},
           {"rpcs_per_sec", window.ops_per_sec(requests), 0},

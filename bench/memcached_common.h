@@ -1,5 +1,5 @@
-// Shared harness for the memcached latency-vs-throughput figures (5 and 6), and the
-// TX-batching/alloc-pool depth sweeps that fig5, fig6 and tab2 contribute to.
+// Shared harness for the memcached latency-vs-throughput figures (5 and 6), and the depth
+// point they contribute to the TX-batching/alloc-pool sweeps (window.h EmitDepthSweep).
 //
 // Server variants reproduce the paper's four lines: EbbRT (in a KVM guest), Linux in a KVM
 // guest, Linux native (no hypervisor costs), and OSv (library OS with the Linux-ABI socket
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/cluster_bench.h"
+#include "bench/window.h"
 #include "src/apps/loadgen/memcached_loadgen.h"
 #include "src/apps/memcached/server.h"
 #include "src/sim/testbed.h"
@@ -116,58 +116,6 @@ inline Point RunPoint(ServerVariant variant, std::size_t server_cores, double ta
   point.mean_us = result.mean_ns / 1000.0;
   point.p99_us = result.p99_ns / 1000.0;
   return point;
-}
-
-// --- TX-batching depth sweep (BENCH_tx_batching.json + BENCH_alloc_pool.json) --------------
-//
-// The segments-per-op story: a pipelined client issues the same GET schedule at different
-// depths; event-scoped corking turns a depth-N burst's N response segments into
-// ceil(bytes/MSS). fig5, fig6 and tab2 each contribute one section to both artifacts.
-
-// One depth point as its two records: the server's TX counters over the whole run (the
-// segments story) and mem::stats() over the steady-state window (the allocation story).
-struct DepthRows {
-  std::size_t requests = 0;  // 0 when the schedule did not complete
-  Row tx;
-  Row alloc;
-};
-
-inline DepthRows DepthPointRows(const NetworkManager::Stats& stats, const Window& window,
-                                std::size_t pipeline, std::size_t requests,
-                                std::uint64_t virtual_ns) {
-  std::uint64_t segments = stats.tcp_tx_data_segments.load();
-  const Window::Counters& d = window.delta;
-  return {requests,
-          {{"pipeline", pipeline},
-           {"requests", requests},
-           {"tx_data_segments", segments},
-           {"sends_coalesced", stats.sends_coalesced.load()},
-           {"bytes_per_segment", stats.bytes_per_segment(), 1},
-           {"segments_per_op", PerOp(segments, requests), 3},
-           {"virtual_ns", virtual_ns}},
-          {{"pipeline", pipeline},
-           {"requests", requests},
-           {"iobuf_allocs", d.iobuf_allocs},
-           {"heap_allocs", d.heap_allocs},
-           {"pool_hits", d.pool_hits},
-           {"pool_misses", d.pool_misses},
-           {"allocs_per_op", PerOp(d.heap_allocs, requests), 4},
-           {"pool_hit_rate", window.pool_hit_rate(), 4}}};
-}
-
-// Runs `run_point` per depth and writes section `section` of both artifacts.
-inline void EmitDepthSweep(const char* section, const std::vector<std::size_t>& depths,
-                           const std::function<DepthRows(std::size_t)>& run_point) {
-  std::vector<Row> tx;
-  std::vector<Row> alloc;
-  for (std::size_t depth : depths) {
-    DepthRows rows = run_point(depth);
-    tx.push_back(rows.tx);
-    alloc.push_back(rows.alloc);
-  }
-  std::printf("# TX-batching depth sweep (%s)\n", section);
-  EmitRows("BENCH_tx_batching.json", section, tx);
-  EmitRows("BENCH_alloc_pool.json", section, alloc);
 }
 
 // The burst client against the EbbRT memcached server.

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/memcached_common.h"
+#include "bench/window.h"
 #include "src/apps/http/http_server.h"
 #include "src/apps/loadgen/http_loadgen.h"
 #include "src/sim/testbed.h"
