@@ -27,7 +27,6 @@
 
 #include "bench/bench_json.h"
 #include "src/apps/memcached/kvstore.h"
-#include "src/event/event_manager.h"
 #include "src/event/thread_machine.h"
 #include "src/mem/gp_allocator.h"
 #include "src/obs/histogram.h"
@@ -54,7 +53,6 @@ struct MixPoint {
   double get_heap_allocs_per_op = 0;  // generic-heap allocs attributed to GET ops
   double set_heap_allocs_per_op = 0;  // ...and to SET ops
   double heap_allocs_per_op = 0;      // attributed total / ops
-  std::uint64_t control_locks = 0;    // dispatch-path spinlock acquisitions, measured window
 };
 
 // Deterministic xorshift64* — the op/key schedule must be identical between the baseline
@@ -146,13 +144,9 @@ MixPoint RunPoint(int get_pct, std::size_t value_size, std::uint64_t total_ops) 
 
   run_ops(2 * kBatchOps, /*measured=*/false);  // warmup
 
-  auto& em_root =
-      machine.runtime().GetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
-  std::uint64_t locks_mark = em_root.RepFor(0).stats().control_locks;
   std::uint64_t t0 = WallNowNs();
   run_ops(total_ops, /*measured=*/true);
   std::uint64_t elapsed = WallNowNs() - t0;
-  std::uint64_t locks_end = em_root.RepFor(0).stats().control_locks;
 
   MixPoint point;
   point.get_pct = get_pct;
@@ -168,7 +162,6 @@ MixPoint RunPoint(int get_pct, std::size_t value_size, std::uint64_t total_ops) 
       sets != 0 ? static_cast<double>(set_allocs) / sets : 0.0;
   point.heap_allocs_per_op =
       point.ops != 0 ? static_cast<double>(get_allocs + set_allocs) / point.ops : 0.0;
-  point.control_locks = locks_end - locks_mark;
   if (sink == 0 && get_pct > 0) {
     std::fprintf(stderr, "WARN: GET path never produced a value view\n");
   }
@@ -186,8 +179,7 @@ Row Cols(const MixPoint& p) {
          LatencyCols(p.latency) +
          Row{{"get_heap_allocs_per_op", p.get_heap_allocs_per_op, 4},
              {"set_heap_allocs_per_op", p.set_heap_allocs_per_op, 4},
-             {"heap_allocs_per_op", p.heap_allocs_per_op, 4},
-             {"control_locks", p.control_locks}};
+             {"heap_allocs_per_op", p.heap_allocs_per_op, 4}};
 }
 
 // Runs the sweep into `section`; false when some point ran no ops.

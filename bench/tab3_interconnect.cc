@@ -172,7 +172,6 @@ struct SpawnResult {
   std::uint64_t xcore_pushes = 0;  // receiver-core interconnect telemetry for the burst
   std::uint64_t xcore_wakeups = 0;
   std::uint64_t xcore_batched = 0;
-  std::uint64_t control_locks = 0;
 };
 
 SpawnResult XcoreSpawn(std::size_t burst, int rounds) {
@@ -217,7 +216,6 @@ SpawnResult XcoreSpawn(std::size_t burst, int rounds) {
   result.xcore_pushes = stats_after.xcore_pushes - stats_before.xcore_pushes;
   result.xcore_wakeups = stats_after.xcore_wakeups - stats_before.xcore_wakeups;
   result.xcore_batched = stats_after.xcore_batches - stats_before.xcore_batches;
-  result.control_locks = stats_after.control_locks;
   return result;
 }
 
@@ -266,13 +264,11 @@ int main(int argc, char** argv) {
       section, sizeof(section),
       "{\"virtual_call_ns\": %.1f, \"mesh_uncontended_ns\": %.1f, "
       "\"xcore_spawn_ns\": %.1f, \"allocs_per_op\": %.4f, \"xcore_pushes\": %llu, "
-      "\"xcore_wakeups\": %llu, \"xcore_batched\": %llu, \"control_locks\": %llu, "
-      "\"fan_in\": %s}",
+      "\"xcore_wakeups\": %llu, \"xcore_batched\": %llu, \"fan_in\": %s}",
       virtual_ns, mesh_ns, spawn.ns_per_spawn, spawn.allocs_per_op,
       static_cast<unsigned long long>(spawn.xcore_pushes),
       static_cast<unsigned long long>(spawn.xcore_wakeups),
       static_cast<unsigned long long>(spawn.xcore_batched),
-      static_cast<unsigned long long>(spawn.control_locks),
       RowsJson(fan_in).c_str());
   WriteJsonSection("BENCH_interconnect.json", smoke ? "interconnect_smoke" : "interconnect",
                    section);

@@ -350,21 +350,21 @@ ShardRouter::ShardRouter(Runtime& runtime, RingRecord ring, Config config)
   }
   StartRingWatcher();  // no-op unless Config asked for a periodic refresh
   // Join the machine's telemetry plane: the router's failover state machine and its RPC
-  // clients' fault counters become registry metrics, sampled only at snapshot time. The
-  // router is per-core client state, so samples are a benign racy read of plain counters.
+  // clients' fault counters join /metrics, sampled only at snapshot time. The router is
+  // per-core client state, so samples are a benign racy read of plain counters.
   obs_collector_ = obs::ObsRoot::For(runtime_).AddCollector(
-      [this](std::vector<obs::ObsRoot::Sample>& out) {
-        out.emplace_back("router_failovers", static_cast<double>(stats_.failovers));
-        out.emplace_back("router_suspects_marked",
-                         static_cast<double>(stats_.suspects_marked));
-        out.emplace_back("router_ring_swaps", static_cast<double>(stats_.ring_swaps));
-        out.emplace_back("router_stale_rings", static_cast<double>(stats_.stale_rings));
-        out.emplace_back("router_malformed_rings",
-                         static_cast<double>(stats_.malformed_rings));
-        out.emplace_back("router_refresh_failures",
-                         static_cast<double>(stats_.refresh_failures));
-        out.emplace_back("router_write_skips", static_cast<double>(stats_.write_skips));
-        out.emplace_back("router_ring_epoch", static_cast<double>(ring_->epoch));
+      [this](obs::ObsRoot::MetricsSnapshot& out) {
+        auto put = [&out](const char* name, std::uint64_t v) {
+          out.samples.emplace_back(name, static_cast<double>(v));
+        };
+        put("router_failovers", stats_.failovers);
+        put("router_suspects_marked", stats_.suspects_marked);
+        put("router_ring_swaps", stats_.ring_swaps);
+        put("router_stale_rings", stats_.stale_rings);
+        put("router_malformed_rings", stats_.malformed_rings);
+        put("router_refresh_failures", stats_.refresh_failures);
+        put("router_write_skips", stats_.write_skips);
+        put("router_ring_epoch", ring_->epoch);
         std::uint64_t timeouts = 0, retries = 0, late_drops = 0, peer_failures = 0,
                       pending = 0;
         for (const auto& entry : clients_) {
@@ -375,11 +375,11 @@ ShardRouter::ShardRouter(Runtime& runtime, RingRecord ring, Config config)
           peer_failures += s.peer_failures.load(std::memory_order_relaxed);
           pending += entry.second->pending_calls();
         }
-        out.emplace_back("rpc_timeouts", static_cast<double>(timeouts));
-        out.emplace_back("rpc_retries", static_cast<double>(retries));
-        out.emplace_back("rpc_late_drops", static_cast<double>(late_drops));
-        out.emplace_back("rpc_peer_failures", static_cast<double>(peer_failures));
-        out.emplace_back("rpc_pending_calls", static_cast<double>(pending));
+        put("rpc_timeouts", timeouts);
+        put("rpc_retries", retries);
+        put("rpc_late_drops", late_drops);
+        put("rpc_peer_failures", peer_failures);
+        put("rpc_pending_calls", pending);
       });
 }
 

@@ -458,7 +458,6 @@ EventManager::Stats EventManager::stats() const {
   s.xcore_pushes = ic.pushes(machine_core_);
   s.xcore_wakeups = ic.wakeups(machine_core_);
   s.xcore_wakeups_elided = s.xcore_pushes - s.xcore_wakeups;
-  s.control_locks = 0;  // no spinlock exists on the dispatch path to count
   return s;
 }
 

@@ -208,8 +208,6 @@ class EventManager {
     std::uint64_t xcore_pushes = 0;    // nodes other cores/threads pushed at this core
     std::uint64_t xcore_wakeups = 0;   // pushes that displaced the idle sentinel (paid wake)
     std::uint64_t xcore_wakeups_elided = 0;  // pushes that needed no wake (core awake/pending)
-    std::uint64_t control_locks = 0;   // spinlock acquisitions on the dispatch path:
-                                       // structurally zero since the interconnect port
   };
   Stats stats() const;
 

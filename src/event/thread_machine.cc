@@ -72,10 +72,10 @@ void ThreadMachine::RunSync(std::size_t core, MoveFunction<void()> fn) {
   bool done = false;
   Spawn(core, [&] {
     fn();
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
+    // Notify under the lock: once the waiter can see `done` it may return and destroy
+    // `cv`, so the notify must finish before the lock is released.
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);

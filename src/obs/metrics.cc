@@ -3,27 +3,17 @@
 #include <cstdio>
 #include <utility>
 
-#include "src/core/multicore_ebb.h"
 #include "src/dist/messenger.h"
 #include "src/event/event_manager.h"
 #include "src/mem/gp_allocator.h"
 #include "src/net/network_manager.h"
+#include "src/platform/context.h"
+#include "src/platform/debug.h"
 
 namespace ebbrt {
 namespace obs {
 
 // --- MetricRegistry --------------------------------------------------------------------------
-
-MetricRegistry& MetricRegistry::HandleFault(EbbId id) {
-  if (void* cached = ebb_internal::HostedLookup(id)) {
-    return *static_cast<MetricRegistry*>(cached);
-  }
-  Context& ctx = CurrentContext();
-  ObsRoot& root = ObsRoot::For(*ctx.runtime);
-  MetricRegistry& rep = root.RepFor(ctx.machine_core);
-  Runtime::CacheRep(id, &rep);
-  return rep;
-}
 
 MetricRegistry::MetricRegistry(ObsRoot& root, std::size_t machine_core)
     : root_(root), machine_core_(machine_core),
@@ -58,7 +48,6 @@ ObsRoot& ObsRoot::For(Runtime& runtime) {
     auto owned = std::make_shared<ObsRoot>(runtime);
     root = owned.get();
     runtime.SetSubsystem(Subsystem::kObservability, root);
-    runtime.InstallRoot(kMetricRegistryId, root);
     runtime.Adopt(std::move(owned));
   }
   return *root;
@@ -100,47 +89,10 @@ MetricRegistry& ObsRoot::RepFor(std::size_t machine_core) {
   return *reps_[machine_core];
 }
 
-namespace {
-MetricId RegisterName(std::vector<std::string>* names, const std::string& name,
-                      std::size_t cap, const char* what) {
-  for (std::size_t i = 0; i < names->size(); ++i) {
-    if ((*names)[i] == name) {
-      return static_cast<MetricId>(i);
-    }
-  }
-  (void)what;
-  Kassert(names->size() < cap, "ObsRoot: metric table full");
-  names->push_back(name);
-  return static_cast<MetricId>(names->size() - 1);
-}
-}  // namespace
-
-MetricId ObsRoot::RegisterCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&counter_names_, name, MetricRegistry::kMaxCounters, "counter");
-}
-
-MetricId ObsRoot::RegisterGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&gauge_names_, name, MetricRegistry::kMaxGauges, "gauge");
-}
-
-MetricId ObsRoot::RegisterHistogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RegisterName(&hist_names_, name, MetricRegistry::kMaxHistograms, "histogram");
-}
-
 std::uint64_t ObsRoot::AddCollector(Collector collector) {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t handle = next_collector_++;
   collectors_.emplace_back(handle, std::move(collector));
-  return handle;
-}
-
-std::uint64_t ObsRoot::AddHistCollector(HistCollector collector) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t handle = next_collector_++;
-  hist_collectors_.emplace_back(handle, std::move(collector));
   return handle;
 }
 
@@ -152,72 +104,17 @@ void ObsRoot::RemoveCollector(std::uint64_t handle) {
       return;
     }
   }
-  for (auto it = hist_collectors_.begin(); it != hist_collectors_.end(); ++it) {
-    if (it->first == handle) {
-      hist_collectors_.erase(it);
-      return;
-    }
-  }
 }
 
-// Accumulates one core's registered slots into `out`. The first core's visit lays the
-// samples out (names from the registration tables); later cores add into the same entries.
-// Reads are relaxed loads of that core's arrays — safe from the owner core (SnapshotAsync)
-// or any core (SnapshotNow).
-void ObsRoot::SampleCore(std::size_t machine_core, MetricsSnapshot* out) {
-  MetricRegistry* rep = reps_[machine_core].get();
-  std::vector<std::string> counters, gauges, hists;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters = counter_names_;
-    gauges = gauge_names_;
-    hists = hist_names_;
-  }
-  if (out->samples.empty() && !counters.empty()) {
-    out->samples.reserve(counters.size());
-    for (const std::string& name : counters) {
-      out->samples.emplace_back(name, 0.0);
-    }
-  }
-  if (out->hists.empty() && !hists.empty()) {
-    out->hists.resize(hists.size());
-    for (std::size_t i = 0; i < hists.size(); ++i) {
-      out->hists[i].first = hists[i];
-    }
-  }
-  if (rep == nullptr) {
-    return;  // core never recorded anything; zero contribution
-  }
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    out->samples[i].second += static_cast<double>(
-        rep->counters_[i].load(std::memory_order_relaxed));
-  }
-  // Gauges are per-core series (the autoscaler wants the imbalance, not just the sum).
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out->samples.emplace_back(
-        gauges[i] + "{core=\"" + std::to_string(machine_core) + "\"}",
-        static_cast<double>(rep->gauges_[i].load(std::memory_order_relaxed)));
-  }
-  for (std::size_t i = 0; i < hists.size(); ++i) {
-    rep->hists_[i].Sample(&out->hists[i].second);
-  }
-}
-
-// Appends collector output and plane self-metrics; runs once per snapshot, after every
-// core's slots are in.
-void ObsRoot::MergeAndFinish(MetricsSnapshot* out) {
+ObsRoot::MetricsSnapshot ObsRoot::SnapshotNow() {
   std::vector<std::pair<std::uint64_t, Collector>> collectors;
-  std::vector<std::pair<std::uint64_t, HistCollector>> hist_collectors;
   {
     std::lock_guard<std::mutex> lock(mu_);
     collectors = collectors_;
-    hist_collectors = hist_collectors_;
   }
+  MetricsSnapshot out;
   for (auto& entry : collectors) {
-    entry.second(out->samples);
-  }
-  for (auto& entry : hist_collectors) {
-    entry.second(out->hists);
+    entry.second(out);
   }
   std::uint64_t spans = 0;
   for (const auto& rep : reps_) {
@@ -225,73 +122,9 @@ void ObsRoot::MergeAndFinish(MetricsSnapshot* out) {
       spans += rep->spans_recorded();
     }
   }
-  out->samples.emplace_back("obs_spans_recorded", static_cast<double>(spans));
-  out->samples.emplace_back("obs_level", static_cast<double>(level_.load()));
-}
-
-ObsRoot::MetricsSnapshot ObsRoot::SnapshotNow() {
-  MetricsSnapshot out;
-  for (std::size_t c = 0; c < reps_.size(); ++c) {
-    SampleCore(c, &out);
-  }
-  MergeAndFinish(&out);
+  out.samples.emplace_back("obs_spans_recorded", static_cast<double>(spans));
+  out.samples.emplace_back("obs_level", static_cast<double>(level_.load()));
   return out;
-}
-
-void ObsRoot::SnapshotAsync(std::function<void(MetricsSnapshot)> done) {
-  struct FanIn {
-    std::vector<MetricsSnapshot> partials;
-    std::atomic<std::size_t> remaining;
-  };
-  std::size_t cores = reps_.size();
-  std::size_t origin = CurrentContext().machine_core;
-  auto fan = std::make_shared<FanIn>();
-  fan->partials.resize(cores);
-  fan->remaining.store(cores, std::memory_order_relaxed);
-  auto shared_done = std::make_shared<std::function<void(MetricsSnapshot)>>(std::move(done));
-  for (std::size_t c = 0; c < cores; ++c) {
-    // One slab-carved interconnect node per core; each core samples ITS OWN slots at an
-    // event boundary, the last one to finish merges and hands the result back to the
-    // origin core. No mutex anywhere on this path.
-    event::Local().SpawnRemote(
-        [this, fan, shared_done, c, origin] {
-          SampleCore(c, &fan->partials[c]);
-          if (fan->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            event::Local().SpawnRemote(
-                [this, fan, shared_done] {
-                  MetricsSnapshot merged = std::move(fan->partials[0]);
-                  for (std::size_t i = 1; i < fan->partials.size(); ++i) {
-                    MetricsSnapshot& part = fan->partials[i];
-                    // Counter/hist entries share layout across partials; gauge samples
-                    // (appended per core) just concatenate.
-                    std::size_t named = 0;
-                    {
-                      std::lock_guard<std::mutex> lock(mu_);
-                      named = counter_names_.size();
-                    }
-                    for (std::size_t s = 0; s < part.samples.size(); ++s) {
-                      if (s < named && s < merged.samples.size()) {
-                        merged.samples[s].second += part.samples[s].second;
-                      } else {
-                        merged.samples.push_back(std::move(part.samples[s]));
-                      }
-                    }
-                    for (std::size_t h = 0; h < part.hists.size(); ++h) {
-                      if (h < merged.hists.size()) {
-                        merged.hists[h].second.Merge(part.hists[h].second);
-                      } else {
-                        merged.hists.push_back(std::move(part.hists[h]));
-                      }
-                    }
-                  }
-                  MergeAndFinish(&merged);
-                  (*shared_done)(std::move(merged));
-                },
-                origin);
-          }
-        },
-        c);
-  }
 }
 
 std::string ObsRoot::RenderText(const MetricsSnapshot& snapshot) {
@@ -363,20 +196,30 @@ ObsRoot::TraceScope::TraceScope(ObsRoot& root, std::uint64_t trace_id,
 
 ObsRoot::TraceScope::~TraceScope() { rep_.ctx_ = saved_; }
 
-// --- Default collectors: the legacy stats() structs, re-homed --------------------------------
-//
+// --- Default collectors: the subsystem stats() structs, named ---------------------------------
+
+namespace {
+void Put(ObsRoot::MetricsSnapshot& out, const char* name, std::uint64_t v) {
+  out.samples.emplace_back(name, static_cast<double>(v));
+}
+void Put(ObsRoot::MetricsSnapshot& out, const char* name, const std::atomic<std::uint64_t>& v) {
+  Put(out, name, v.load(std::memory_order_relaxed));
+}
+}  // namespace
+
 // Pull-only: nothing here touches a hot path. Each lambda re-resolves its subsystem at
 // sample time (TryGetSubsystem), so collectors installed before a subsystem exists — or
 // surviving after one died at teardown — just skip it.
 void ObsRoot::InstallDefaultCollectors() {
   Runtime* rt = &runtime_;
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& out) {
     auto* em_root = rt->TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
     if (em_root == nullptr) {
       return;
     }
     EventManager::Stats total;
+    Histogram::Snapshot handler, hook, batch, residency;
     for (std::size_t c = 0; c < em_root->num_cores(); ++c) {
       EventManager& em = em_root->RepFor(c);
       EventManager::Stats s = em.stats();
@@ -389,100 +232,78 @@ void ObsRoot::InstallDefaultCollectors() {
       total.xcore_batches += s.xcore_batches;
       total.xcore_pushes += s.xcore_pushes;
       total.xcore_wakeups += s.xcore_wakeups;
-      total.control_locks += s.control_locks;
-      out.emplace_back("event_run_queue_depth{core=\"" + std::to_string(c) + "\"}",
-                       static_cast<double>(em.run_queue_depth()));
-    }
-    out.emplace_back("event_interrupts", static_cast<double>(total.interrupts));
-    out.emplace_back("event_synthetic", static_cast<double>(total.synthetic));
-    out.emplace_back("event_idle_passes", static_cast<double>(total.idle_passes));
-    out.emplace_back("event_timers", static_cast<double>(total.timers));
-    out.emplace_back("event_end_of_event_hooks", static_cast<double>(total.end_of_event));
-    out.emplace_back("event_xcore_spawns", static_cast<double>(total.xcore_spawns));
-    out.emplace_back("event_xcore_batches", static_cast<double>(total.xcore_batches));
-    out.emplace_back("event_xcore_pushes", static_cast<double>(total.xcore_pushes));
-    out.emplace_back("event_xcore_wakeups", static_cast<double>(total.xcore_wakeups));
-    out.emplace_back("event_control_locks", static_cast<double>(total.control_locks));
-  });
-
-  AddHistCollector([rt](std::vector<HistSample>& out) {
-    auto* em_root = rt->TryGetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
-    if (em_root == nullptr) {
-      return;
-    }
-    Histogram::Snapshot handler, hook, batch, residency;
-    for (std::size_t c = 0; c < em_root->num_cores(); ++c) {
-      EventManager& em = em_root->RepFor(c);
+      out.samples.emplace_back("event_run_queue_depth{core=\"" + std::to_string(c) + "\"}",
+                               static_cast<double>(em.run_queue_depth()));
       em.handler_latency_hist().Sample(&handler);
       em.end_of_event_hook_hist().Sample(&hook);
       em.xcore_batch_size_hist().Sample(&batch);
       em.xcore_residency_hist().Sample(&residency);
     }
-    out.emplace_back("event_handler_latency_ns", handler);
-    out.emplace_back("event_end_of_event_hook_ns", hook);
-    out.emplace_back("interconnect_batch_size", batch);
-    out.emplace_back("interconnect_queue_residency_ns", residency);
+    Put(out, "event_interrupts", total.interrupts);
+    Put(out, "event_synthetic", total.synthetic);
+    Put(out, "event_idle_passes", total.idle_passes);
+    Put(out, "event_timers", total.timers);
+    Put(out, "event_end_of_event_hooks", total.end_of_event);
+    Put(out, "event_xcore_spawns", total.xcore_spawns);
+    Put(out, "event_xcore_batches", total.xcore_batches);
+    Put(out, "event_xcore_pushes", total.xcore_pushes);
+    Put(out, "event_xcore_wakeups", total.xcore_wakeups);
+    out.hists.emplace_back("event_handler_latency_ns", handler);
+    out.hists.emplace_back("event_end_of_event_hook_ns", hook);
+    out.hists.emplace_back("interconnect_batch_size", batch);
+    out.hists.emplace_back("interconnect_queue_residency_ns", residency);
   });
 
-  AddCollector([](std::vector<Sample>& out) {
+  AddCollector([](MetricsSnapshot& out) {
     // Process-global memory-plane counters (benches snapshot deltas; the absolute values
     // are still the BufferPool occupancy signal the autoscaler wants).
-    mem::Stats& m = mem::stats();
-    auto get = [](const std::atomic<std::uint64_t>& a) {
-      return static_cast<double>(a.load(std::memory_order_relaxed));
-    };
-    out.emplace_back("mem_iobuf_allocs", get(m.iobuf_allocs));
-    out.emplace_back("mem_iobuf_slab_allocs", get(m.iobuf_slab_allocs));
-    out.emplace_back("mem_heap_fallback_allocs", get(m.heap_fallback_allocs));
-    out.emplace_back("mem_pool_hits", get(m.pool_hits));
-    out.emplace_back("mem_pool_misses", get(m.pool_misses));
-    out.emplace_back("mem_pool_remote_frees", get(m.remote_frees));
-    out.emplace_back("mem_pool_in_use", get(m.pool_in_use));
-    out.emplace_back("mem_pool_in_use_hwm", get(m.pool_in_use_hwm));
-    out.emplace_back("mem_pool_cap_grows", get(m.pool_cap_grows));
-    out.emplace_back("mem_pool_cap_decays", get(m.pool_cap_decays));
+    const mem::Stats& m = mem::stats();
+    Put(out, "mem_iobuf_allocs", m.iobuf_allocs);
+    Put(out, "mem_iobuf_slab_allocs", m.iobuf_slab_allocs);
+    Put(out, "mem_heap_fallback_allocs", m.heap_fallback_allocs);
+    Put(out, "mem_pool_hits", m.pool_hits);
+    Put(out, "mem_pool_misses", m.pool_misses);
+    Put(out, "mem_pool_remote_frees", m.remote_frees);
+    Put(out, "mem_pool_in_use", m.pool_in_use);
+    Put(out, "mem_pool_in_use_hwm", m.pool_in_use_hwm);
+    Put(out, "mem_pool_cap_grows", m.pool_cap_grows);
+    Put(out, "mem_pool_cap_decays", m.pool_cap_decays);
   });
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& out) {
     auto* net = rt->TryGetSubsystem<NetworkManager>(Subsystem::kNetworkManager);
     if (net == nullptr) {
       return;
     }
     const NetworkManager::Stats& s = net->stats();
-    auto get = [](const std::atomic<std::uint64_t>& a) {
-      return static_cast<double>(a.load(std::memory_order_relaxed));
-    };
-    out.emplace_back("net_ip_rx", get(s.ip_rx));
-    out.emplace_back("net_tcp_rx", get(s.tcp_rx));
-    out.emplace_back("net_tcp_tx_segments", get(s.tcp_tx_segments));
-    out.emplace_back("net_tcp_tx_data_segments", get(s.tcp_tx_data_segments));
-    out.emplace_back("net_tcp_tx_payload_bytes", get(s.tcp_tx_payload_bytes));
-    out.emplace_back("net_sends_coalesced", get(s.sends_coalesced));
-    out.emplace_back("net_cork_flushes", get(s.cork_flushes));
-    out.emplace_back("net_corked_drops", get(s.corked_drops));
-    out.emplace_back("net_checksum_drops", get(s.checksum_drops));
+    Put(out, "net_ip_rx", s.ip_rx);
+    Put(out, "net_tcp_rx", s.tcp_rx);
+    Put(out, "net_tcp_tx_segments", s.tcp_tx_segments);
+    Put(out, "net_tcp_tx_data_segments", s.tcp_tx_data_segments);
+    Put(out, "net_tcp_tx_payload_bytes", s.tcp_tx_payload_bytes);
+    Put(out, "net_sends_coalesced", s.sends_coalesced);
+    Put(out, "net_cork_flushes", s.cork_flushes);
+    Put(out, "net_corked_drops", s.corked_drops);
+    Put(out, "net_checksum_drops", s.checksum_drops);
   });
 
-  AddCollector([rt](std::vector<Sample>& out) {
+  AddCollector([rt](MetricsSnapshot& out) {
     auto* messenger = rt->TryGetSubsystem<dist::Messenger>(Subsystem::kMessenger);
     if (messenger == nullptr) {
       return;
     }
     const dist::Messenger::Stats& s = messenger->stats();
-    auto get = [](const std::atomic<std::uint64_t>& a) {
-      return static_cast<double>(a.load(std::memory_order_relaxed));
-    };
-    out.emplace_back("messenger_messages_sent", get(s.messages_sent));
-    out.emplace_back("messenger_messages_received", get(s.messages_received));
-    out.emplace_back("messenger_dials", get(s.dials));
-    out.emplace_back("messenger_accepts", get(s.accepts));
-    out.emplace_back("messenger_reconnects", get(s.reconnects));
-    out.emplace_back("messenger_dropped", get(s.dropped));
-    out.emplace_back("messenger_bad_frames", get(s.bad_frames));
-    out.emplace_back("messenger_control_locks", get(s.control_locks));
+    Put(out, "messenger_messages_sent", s.messages_sent);
+    Put(out, "messenger_messages_received", s.messages_received);
+    Put(out, "messenger_dials", s.dials);
+    Put(out, "messenger_accepts", s.accepts);
+    Put(out, "messenger_reconnects", s.reconnects);
+    Put(out, "messenger_dropped", s.dropped);
+    Put(out, "messenger_bad_frames", s.bad_frames);
+    Put(out, "messenger_control_locks", s.control_locks);
     // Per-peer attribution: the misbehaving-client signal (fig12 prerequisite).
     for (const auto& peer : messenger->BadFramesByPeer()) {
-      out.emplace_back(
+      out.samples.emplace_back(
           "messenger_bad_frames{peer=\"" + peer.first.ToString() + "\"}",
           static_cast<double>(peer.second));
     }

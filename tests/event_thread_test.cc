@@ -60,6 +60,19 @@ TEST(ThreadMachine, SpawnRemoteCrossCore) {
   machine.Shutdown();
 }
 
+TEST(ThreadMachine, RunSyncRepeatedAcrossCores) {
+  // Each RunSync's condition variable lives on the caller's stack and dies when it returns;
+  // a notify that ran after the waiter left would touch a destroyed object.
+  ThreadMachine machine(2);
+  machine.Start();
+  int ran = 0;
+  for (int i = 0; i < 2000; ++i) {
+    machine.RunSync(static_cast<std::size_t>(i % 2), [&ran] { ++ran; });
+  }
+  EXPECT_EQ(ran, 2000);
+  machine.Shutdown();
+}
+
 TEST(ThreadMachine, BlockOnReadyFutureFastPath) {
   ThreadMachine machine(1);
   machine.Start();

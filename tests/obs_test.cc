@@ -1,6 +1,5 @@
-// Telemetry-plane tests: obs::Histogram bucket math and quantile error bound, the per-core
-// MetricRegistry with cross-core snapshots (sync and interconnect-riding async), and the
-// two exposition surfaces — GET /metrics over sim TCP and the StatsService RPC scrape.
+// Telemetry-plane tests: obs::Histogram bucket math and quantile error bound, SnapshotNow's
+// merge of per-core subsystem counters, and the GET /metrics exposition over sim TCP.
 #include <algorithm>
 #include <memory>
 #include <random>
@@ -11,9 +10,9 @@
 
 #include "src/apps/http/http_server.h"
 #include "src/dist/messenger.h"
+#include "src/event/event_manager.h"
 #include "src/obs/histogram.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stats_service.h"
 #include "src/sim/testbed.h"
 
 namespace ebbrt {
@@ -109,104 +108,61 @@ TEST(Histogram, SnapshotMergeIsSampleUnion) {
   }
 }
 
-// --- MetricRegistry --------------------------------------------------------------------------
+// --- Snapshot over the subsystem counters ----------------------------------------------------
 
-TEST(MetricRegistry, CrossCoreSnapshotSumsEveryRep) {
-  // Two cores record into their own reps; SnapshotNow must sum counters and merge
-  // histograms across both, and gauges stay per-core labeled series.
+TEST(Snapshot, MergesEveryCoresEventCounters) {
+  // With events run on both cores of a 2-core node, SnapshotNow must sum the per-core
+  // EventManager counters, label one run-queue series per core, and merge both cores'
+  // handler-latency histograms.
   Testbed bed;
   TestbedNode node = bed.AddNode("node", 2, kServerIp);
-  obs::MetricId counter = 0, gauge = 0, histogram = 0;
-  double counter_sum = -1;
-  std::uint64_t hist_count = 0;
-  std::vector<std::string> gauge_series;
   node.Spawn(0, [&] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*node.runtime);
-    counter = root.RegisterCounter("test_ops");
-    gauge = root.RegisterGauge("test_depth");
-    histogram = root.RegisterHistogram("test_latency_ns");
-    root.RepFor(0).Add(counter, 3);
-    root.RepFor(0).SetGauge(gauge, 7);
-    root.RepFor(0).RecordHist(histogram, 100);
-    node.Spawn(1, [&] {
-      obs::ObsRoot& root1 = obs::ObsRoot::For(*node.runtime);
-      root1.RepFor(1).Add(counter, 4);
-      root1.RepFor(1).SetGauge(gauge, 9);
-      root1.RepFor(1).RecordHist(histogram, 200);
-      node.Spawn(0, [&] {
-        obs::ObsRoot::MetricsSnapshot snapshot = obs::ObsRoot::For(*node.runtime).SnapshotNow();
-        for (const auto& sample : snapshot.samples) {
-          if (sample.first == "test_ops") {
-            counter_sum = sample.second;
-          }
-          if (sample.first.rfind("test_depth", 0) == 0) {
-            gauge_series.push_back(sample.first);
-          }
-        }
-        for (const auto& hist : snapshot.hists) {
-          if (hist.first == "test_latency_ns") {
-            hist_count = hist.second.count;
-          }
-        }
-      });
-    });
+    obs::ObsRoot::For(*node.runtime);  // attaches the level switch: histograms record
+    for (int i = 0; i < 5; ++i) {
+      node.Spawn(0, [] {});
+      node.Spawn(1, [] {});
+    }
   });
   bed.world().Run();
-  EXPECT_EQ(counter_sum, 7.0);
-  EXPECT_EQ(hist_count, 2u);
-  ASSERT_EQ(gauge_series.size(), 2u);
-  EXPECT_EQ(gauge_series[0], "test_depth{core=\"0\"}");
-  EXPECT_EQ(gauge_series[1], "test_depth{core=\"1\"}");
-}
 
-TEST(MetricRegistry, SnapshotAsyncMatchesSyncAndTakesNoLocks) {
-  // The interconnect-riding snapshot must agree with the direct-read one, and the plane's
-  // own event_control_locks counter must not move between two async snapshots — the
-  // aggregation path itself is lock-free.
-  Testbed bed;
-  TestbedNode node = bed.AddNode("node", 4, kServerIp);
-  double async_sum = -1;
-  double sync_sum = -2;
-  double locks_first = -1, locks_second = -1;
-  auto find = [](const obs::ObsRoot::MetricsSnapshot& snapshot, const std::string& name) {
-    for (const auto& sample : snapshot.samples) {
-      if (sample.first == name) {
-        return sample.second;
-      }
+  auto& em_root = node.runtime->GetSubsystem<EventManagerRoot>(Subsystem::kEventManager);
+  std::uint64_t synthetic = 0;
+  obs::Histogram::Snapshot handler;
+  for (std::size_t core = 0; core < 2; ++core) {
+    EventManager& em = em_root.RepFor(core);
+    EXPECT_GE(em.stats().synthetic, 5u) << core;
+    synthetic += em.stats().synthetic;
+    obs::Histogram::Snapshot h;
+    em.handler_latency_hist().Sample(&h);
+    EXPECT_GT(h.count, 0u) << core;
+    handler.Merge(h);
+  }
+
+  obs::ObsRoot::MetricsSnapshot snapshot = obs::ObsRoot::For(*node.runtime).SnapshotNow();
+  double event_synthetic = -1;
+  std::vector<std::string> depth_series;
+  for (const auto& sample : snapshot.samples) {
+    if (sample.first == "event_synthetic") {
+      event_synthetic = sample.second;
     }
-    return -1.0;
-  };
-  auto recorded = std::make_shared<std::size_t>(0);
-  node.Spawn(0, [&, recorded] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*node.runtime);
-    obs::MetricId counter = root.RegisterCounter("async_ops");
-    for (std::size_t core = 0; core < 4; ++core) {
-      node.Spawn(core, [&, recorded, counter, core] {
-        obs::ObsRoot::For(*node.runtime).RepFor(core).Add(counter, core + 1);
-        if (++*recorded < 4) {
-          return;
-        }
-        node.Spawn(0, [&] {
-          obs::ObsRoot::For(*node.runtime)
-              .SnapshotAsync([&](obs::ObsRoot::MetricsSnapshot snapshot) {
-                async_sum = find(snapshot, "async_ops");
-                locks_first = find(snapshot, "event_control_locks");
-                obs::ObsRoot::For(*node.runtime)
-                    .SnapshotAsync([&](obs::ObsRoot::MetricsSnapshot second) {
-                      locks_second = find(second, "event_control_locks");
-                      sync_sum =
-                          find(obs::ObsRoot::For(*node.runtime).SnapshotNow(), "async_ops");
-                    });
-              });
-        });
-      });
+    if (sample.first.rfind("event_run_queue_depth", 0) == 0) {
+      depth_series.push_back(sample.first);
     }
-  });
-  bed.world().Run();
-  EXPECT_EQ(async_sum, 1.0 + 2 + 3 + 4);
-  EXPECT_EQ(sync_sum, async_sum);
-  ASSERT_GE(locks_first, 0.0);
-  EXPECT_EQ(locks_second, locks_first);  // snapshotting itself took no event-plane locks
+  }
+  EXPECT_EQ(event_synthetic, static_cast<double>(synthetic));
+  ASSERT_EQ(depth_series.size(), 2u);
+  EXPECT_EQ(depth_series[0], "event_run_queue_depth{core=\"0\"}");
+  EXPECT_EQ(depth_series[1], "event_run_queue_depth{core=\"1\"}");
+  std::uint64_t handler_count = 0;
+  for (const auto& hist : snapshot.hists) {
+    if (hist.first == "event_handler_latency_ns") {
+      handler_count = hist.second.count;
+    }
+  }
+  EXPECT_EQ(handler_count, handler.count);
+  std::string text = obs::ObsRoot::RenderText(snapshot);
+  EXPECT_NE(text.find("event_handler_latency_ns_count " + std::to_string(handler.count)),
+            std::string::npos);
 }
 
 // --- Exposition surfaces ---------------------------------------------------------------------
@@ -254,39 +210,13 @@ TEST(Exposition, MetricsEndpointServesEveryDefaultFamily) {
   EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
   for (const char* family :
-       {"event_interrupts", "event_control_locks", "event_handler_latency_ns_count",
+       {"event_interrupts", "event_handler_latency_ns_count",
         "event_handler_latency_ns{q=\"0.99\"}", "interconnect_batch_size_count",
         "mem_iobuf_allocs", "mem_pool_hits", "net_tcp_rx", "net_tcp_tx_segments",
         "messenger_bad_frames", "obs_spans_recorded", "obs_level",
         "event_run_queue_depth{core=\"0\"}"}) {
     EXPECT_NE(metrics.find(family), std::string::npos) << family;
   }
-}
-
-TEST(Exposition, StatsServiceScrapesRemoteMachine) {
-  // The RPC scrape surface: a client machine pulls the server machine's rendered metrics
-  // text with one Call and sees the server's registered families.
-  Testbed bed;
-  TestbedNode server = bed.AddNode("server", 1, kServerIp);
-  TestbedNode client = bed.AddNode("client", 1, kClientIp);
-  std::shared_ptr<obs::StatsService> service;
-  std::shared_ptr<obs::StatsClient> scraper;
-  std::string text;
-  server.Spawn(0, [&] {
-    obs::ObsRoot& root = obs::ObsRoot::For(*server.runtime);
-    obs::MetricId counter = root.RegisterCounter("server_private_ops");
-    root.RepFor(0).Add(counter, 11);
-    service = std::make_shared<obs::StatsService>(*server.runtime);
-    server.runtime->Adopt(service);
-  });
-  client.Spawn(0, [&] {
-    scraper = std::make_shared<obs::StatsClient>(*client.runtime, kServerIp);
-    scraper->Scrape().Then([&](Future<std::string> f) { text = f.Get(); });
-  });
-  bed.world().Run();
-  EXPECT_NE(text.find("server_private_ops 11"), std::string::npos);
-  EXPECT_NE(text.find("event_interrupts"), std::string::npos);
-  EXPECT_EQ(service->scrapes(), 1u);
 }
 
 }  // namespace

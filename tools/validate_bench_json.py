@@ -55,7 +55,7 @@ def pool_engaged(section, p):
 def validate_interconnect(data):
     required = ('virtual_call_ns', 'mesh_uncontended_ns', 'xcore_spawn_ns',
                 'allocs_per_op', 'xcore_pushes', 'xcore_wakeups', 'xcore_batched',
-                'control_locks', 'fan_in')
+                'fan_in')
     for section, p in data.items():
         assert isinstance(p, dict), f'{section}: section must be an object'
         require(p, required, section)
@@ -65,9 +65,6 @@ def validate_interconnect(data):
         if p['allocs_per_op'] >= 0.05:
             sys.exit(f'{section}: steady-state spawns malloc '
                      f'(allocs_per_op {p["allocs_per_op"]})')
-        if p['control_locks'] != 0:
-            sys.exit(f'{section}: {p["control_locks"]} spinlock acquisitions on the '
-                     f'dispatch path')
         if p['xcore_pushes'] > 0 and p['xcore_wakeups'] > p['xcore_pushes'] // 2:
             sys.exit(f'{section}: wake elision broken — {p["xcore_wakeups"]} wakeups '
                      f'for {p["xcore_pushes"]} pushes')
@@ -266,7 +263,7 @@ def validate_observability(data):
 def validate_item_plane(data):
     required = ('mix_get_pct', 'value_size', 'ops', 'gets', 'sets', 'ns_per_op',
                 'get_heap_allocs_per_op', 'set_heap_allocs_per_op',
-                'heap_allocs_per_op', 'control_locks') + HIST_KEYS
+                'heap_allocs_per_op') + HIST_KEYS
     for section, points in data.items():
         for p in points_of(section, points, required):
             if p['ops'] == 0:
@@ -293,9 +290,6 @@ def validate_item_plane(data):
                          f'(get {p["get_heap_allocs_per_op"]} '
                          f'set {p["set_heap_allocs_per_op"]} '
                          f'overall {p["heap_allocs_per_op"]})')
-            if p['control_locks'] != 0:
-                sys.exit(f'{where}: {p["control_locks"]} control locks on the '
-                         f'item path')
     # Perf gate: committed current 50/50 ns/op must beat the committed baseline at the
     # same value size (the mix where the refactor's SET-side win shows).
     current = data.get('item_plane')

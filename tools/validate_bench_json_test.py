@@ -123,7 +123,6 @@ def ic(**fields):
 # (artifact, gate, mutation, fragment of the expected rejection message)
 CASES = [
     (IC, 'spawn allocs', ic(allocs_per_op=0.05), 'spawns malloc'),
-    (IC, 'dispatch spinlocks', ic(control_locks=1), 'spinlock acquisitions'),
     (IC, 'wake elision', ic(xcore_wakeups=10**6, xcore_pushes=10**6), 'wake elision'),
     (IC, 'fan-in flat (smoke)', fail_fan_in, 'fan-in ns/op'),
 
@@ -213,7 +212,6 @@ CASES = [
      'item plane mallocs'),
     (IP, 'full-run SET allocs', setter('item_plane', {}, set_heap_allocs_per_op=0.0001),
      'item plane mallocs'),
-    (IP, 'control locks', setter('item_plane', {}, control_locks=1), 'control locks'),
     (IP, '50/50 beats baseline', slow_item_plane, 'did not improve'),
 ]
 
